@@ -1,30 +1,26 @@
-"""Worker-count scaling curve for both worker transports.
+"""Resident worker pool: warm reuse, the result ring and merge-back.
 
-The parallel streaming path ships framed chunks to worker processes
-through a pluggable :class:`~repro.engine.transport.WorkerTransport`.
-This benchmark establishes the scaling curve over worker counts for
-both transports (pickled record lists vs shared-memory slot rings) and
-for cold- vs warm-cache workers, over the streaming corpus.
+With ``num_workers > 1`` the engine ships framed chunks to the workers
+of one :class:`~repro.engine.transport.ResidentWorkerPool`.  These
+benchmarks measure it over the streaming corpus.
 
 Acceptance bars:
 
 * every configuration is record- and accept-identical to the serial
-  path (the differential suite in ``tests/test_transport.py`` locks
-  bit-identity; this benchmark re-checks the cumulative counters);
-* **warm-cache workers beat cold-cache workers** at the same worker
-  count — the AtomCache snapshot shipped at pool start replaces the
-  per-chunk vectorised sweeps with fingerprint lookups, an algorithmic
-  win that holds regardless of core count;
-* 4 warm workers deliver >= 1.5x the throughput of 1 cold worker;
+  path (the differential suites in ``tests/test_transport.py`` and
+  ``tests/test_resident_pool.py`` lock bit-identity; this benchmark
+  re-checks the cumulative counters);
 * a second stream over the same resident pool beats the first — warm
   reuse is algorithmic (resident caches + no respawn), so it is
   asserted regardless of core count;
-* on machines with >= 4 *effective* cores, 4 cold workers deliver
-  >= 1.5x the throughput of 1 cold worker and a cold 4-worker resident
-  pool beats the serial pass (hardware scaling; on smaller hosts the
-  curves are still measured and reported, but CPU-bound processes
-  cannot scale past the cores the scheduler actually grants, so those
-  bars are not asserted).
+* every fitting batch's result returns through the shared result ring;
+* a cold parallel pass leaves the parent cache warm, so a serial
+  re-read beats the cold serial pass;
+* on machines with >= 4 *effective* cores, a cold 4-worker resident
+  pool beats the serial pass (hardware scaling; on smaller hosts it
+  is still measured and reported, but CPU-bound processes cannot
+  scale past the cores the scheduler actually grants, so that bar is
+  not asserted).
 """
 
 import io
@@ -39,8 +35,6 @@ from repro.eval.report import render_table
 
 CHUNK_BYTES = 128 * 1024
 TARGET_BYTES = 2 * 1024 * 1024
-WORKER_COUNTS = (1, 2, 4)
-TRANSPORTS = ("fork-pickle", "shared-memory")
 TIMING_ROUNDS = 2
 
 
@@ -85,111 +79,6 @@ def _stream_seconds(engine, expr, payload):
     return best, last
 
 
-def test_worker_scaling_curve():
-    payload = _corpus_payload()
-    expr = _expr()
-
-    serial = FilterEngine(chunk_bytes=CHUNK_BYTES)
-    serial_seconds, serial_last = _stream_seconds(
-        serial, expr, payload
-    )
-
-    def throughput(seconds):
-        return len(payload) / seconds / 1e6
-
-    rows = [[
-        "serial", "-", "-", f"{serial_seconds:.3f}",
-        f"{throughput(serial_seconds):.1f}", "1.00x",
-    ]]
-    measured = {}
-
-    # cold workers: every chunk is evaluated in the worker
-    for transport in TRANSPORTS:
-        for workers in WORKER_COUNTS:
-            engine = FilterEngine(
-                chunk_bytes=CHUNK_BYTES, num_workers=workers,
-                transport=transport,
-            )
-            seconds, last = _stream_seconds(engine, expr, payload)
-            assert last.records_seen == serial_last.records_seen
-            assert last.accepted_seen == serial_last.accepted_seen
-            measured[(transport, workers, "cold")] = seconds
-            rows.append([
-                transport, str(workers), "cold", f"{seconds:.3f}",
-                f"{throughput(seconds):.1f}",
-                f"{serial_seconds / seconds:.2f}x",
-            ])
-
-    # warm workers: the engine's AtomCache is warmed by one serial
-    # pass, then shipped to the workers as a start-up snapshot — the
-    # cache-to-workers path the serial-only cache could never serve
-    cache = AtomCache()
-    warm_serial = FilterEngine(chunk_bytes=CHUNK_BYTES, cache=cache)
-    for _ in warm_serial.stream_file(expr, io.BytesIO(payload)):
-        pass
-    for transport in TRANSPORTS:
-        engine = FilterEngine(
-            chunk_bytes=CHUNK_BYTES, num_workers=4,
-            transport=transport, cache=cache,
-        )
-        seconds, last = _stream_seconds(engine, expr, payload)
-        assert last.records_seen == serial_last.records_seen
-        assert last.accepted_seen == serial_last.accepted_seen
-        worker_stats = engine.stats()["workers"]
-        assert worker_stats["cache_hits"] > 0
-        assert worker_stats["cache_misses"] == 0
-        measured[(transport, 4, "warm")] = seconds
-        rows.append([
-            transport, "4", "warm", f"{seconds:.3f}",
-            f"{throughput(seconds):.1f}",
-            f"{serial_seconds / seconds:.2f}x",
-        ])
-
-    table = render_table(
-        ["Transport", "Workers", "Cache", "Seconds", "MB/s",
-         "vs serial"],
-        rows,
-        title=(
-            f"Worker scaling over {len(payload)} bytes "
-            f"(chunk={CHUNK_BYTES}, "
-            f"{EFFECTIVE_CORES} effective cores)"
-        ),
-    )
-    write_result("perf_worker_scaling", table)
-
-    # warm-cache workers beat cold-cache workers (same worker count,
-    # same transport): an algorithmic bar, independent of cores
-    for transport in TRANSPORTS:
-        warm = measured[(transport, 4, "warm")]
-        cold = measured[(transport, 4, "cold")]
-        assert warm < cold, (
-            f"warm workers ({warm:.3f}s) not faster than cold "
-            f"({cold:.3f}s) at 4 workers over {transport}"
-        )
-
-    # 4 warm workers vs 1 cold worker: the cache-to-workers payoff
-    ratio = (
-        measured[("shared-memory", 1, "cold")]
-        / measured[("shared-memory", 4, "warm")]
-    )
-    assert ratio >= 1.5, (
-        f"4 warm workers only {ratio:.2f}x over 1 cold worker"
-    )
-
-    # hardware scaling is only assertable when the cores exist —
-    # gated on the *effective* core count, not the host's
-    if EFFECTIVE_CORES >= 4:
-        best_cold_scaling = max(
-            measured[(transport, 1, "cold")]
-            / measured[(transport, 4, "cold")]
-            for transport in TRANSPORTS
-        )
-        assert best_cold_scaling >= 1.5, (
-            f"4 cold workers only {best_cold_scaling:.2f}x over 1 "
-            f"on a {EFFECTIVE_CORES}-effective-core host"
-        )
-
-
 def test_resident_pool_cold_and_warm_reuse():
     """The resident pool's two bars, measured on one engine:
 
@@ -229,7 +118,6 @@ def test_resident_pool_cold_and_warm_reuse():
     for last in (cold_last, warm_last):
         assert last.records_seen == serial_last.records_seen
         assert last.accepted_seen == serial_last.accepted_seen
-    assert stats["resident"] is True
     assert stats["sessions"] == 2
     assert stats["respawns"] == 0
     assert stats["cache_hits"] > 0, (
@@ -276,39 +164,34 @@ def test_resident_pool_cold_and_warm_reuse():
 
 def test_result_ring_vs_pickled_return():
     """The pickle-free return leg: every fitting batch's result comes
-    back mapped from the shared result ring (zero pickled returns),
-    with the pickled-return transport measured alongside as the
-    baseline curve."""
+    back mapped from the shared result ring (zero pickled returns)."""
     payload = _corpus_payload()
     expr = _expr()
     rows = []
-    for transport in TRANSPORTS:
-        for workers in (2, 4):
-            engine = FilterEngine(
-                chunk_bytes=CHUNK_BYTES, num_workers=workers,
-                transport=transport,
-            )
+    for workers in (2, 4):
+        engine = FilterEngine(
+            chunk_bytes=CHUNK_BYTES, num_workers=workers,
+        )
+        try:
             seconds, last = _stream_seconds(engine, expr, payload)
             stats = engine.stats()["workers"]
-            ring = stats.get("ring_results", 0)
-            rows.append([
-                transport, str(workers), f"{seconds:.3f}",
-                f"{len(payload) / seconds / 1e6:.1f}",
-                str(ring), str(stats["pickled_results"]),
-            ])
-            if transport == "shared-memory":
-                assert ring == stats["chunks"], (
-                    "ring did not carry every fitting result"
-                )
-                assert stats["pickled_results"] == 0
-                assert stats["fallback_batches"] == 0
-            else:
-                assert stats["pickled_results"] == stats["chunks"]
+        finally:
+            engine.close()
+        rows.append([
+            str(workers), f"{seconds:.3f}",
+            f"{len(payload) / seconds / 1e6:.1f}",
+            str(stats["ring_results"]), str(stats["pickled_results"]),
+        ])
+        assert stats["ring_results"] == stats["chunks"], (
+            "ring did not carry every fitting result"
+        )
+        assert stats["pickled_results"] == 0
+        assert stats["fallback_batches"] == 0
     write_result(
         "perf_result_ring",
         render_table(
-            ["Transport", "Workers", "Seconds", "MB/s",
-             "Ring results", "Pickled results"],
+            ["Workers", "Seconds", "MB/s", "Ring results",
+             "Pickled results"],
             rows,
             title=(
                 f"Result return path over {len(payload)} bytes "
@@ -332,12 +215,11 @@ def test_parallel_pass_warms_serial_reread():
     )
 
     cache = AtomCache()
-    parallel = FilterEngine(
-        chunk_bytes=CHUNK_BYTES, num_workers=2,
-        transport="shared-memory", cache=cache,
-    )
-    for _ in parallel.stream_file(expr, io.BytesIO(payload)):
-        pass
+    with FilterEngine(
+        chunk_bytes=CHUNK_BYTES, num_workers=2, cache=cache,
+    ) as parallel:
+        for _ in parallel.stream_file(expr, io.BytesIO(payload)):
+            pass
     worker_stats = parallel.stats()["workers"]
     assert worker_stats["merged_entries"] > 0
 

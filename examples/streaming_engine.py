@@ -8,9 +8,9 @@ Demonstrates the unified execution layer:
   64 KiB chunks, records are reframed across chunk seams;
 * pluggable ingest: the same stream arriving over a local socket
   through a ``SocketSource`` (with per-source byte accounting);
-* parallel streaming through the shared-memory worker transport, with
-  workers started from a warm AtomCache snapshot and per-worker
-  counters in ``engine.stats()``;
+* parallel streaming through the resident worker pool, with workers
+  warmed from the parent's AtomCache and per-worker counters in
+  ``engine.stats()``;
 * the same engine evaluating a Sparser-style baseline cascade, so the
   accuracy comparison runs through one audited code path.
 
@@ -73,19 +73,18 @@ def main():
           f"source saw {source.stats()['bytes_read']} bytes "
           f"in {source.stats()['chunks_read']} chunks")
 
-    # parallel streaming: shared-memory transport, warm-cache workers
+    # parallel streaming: resident worker pool, warm-cache workers
     warm = FilterEngine(chunk_bytes=CHUNK_BYTES, cache=True)
     for batch in warm.stream_file(expr, io.BytesIO(payload)):
         pass  # serial warm pass fills the AtomCache
-    parallel = FilterEngine(
-        chunk_bytes=CHUNK_BYTES, num_workers=2,
-        transport="shared-memory", cache=warm.atom_cache,
-    )
     parallel_accepted = 0
-    for batch in parallel.stream_file(expr, io.BytesIO(payload)):
-        parallel_accepted = batch.accepted_seen
+    with FilterEngine(
+        chunk_bytes=CHUNK_BYTES, num_workers=2, cache=warm.atom_cache,
+    ) as parallel:
+        for batch in parallel.stream_file(expr, io.BytesIO(payload)):
+            parallel_accepted = batch.accepted_seen
     workers = parallel.stats()["workers"]
-    print(f"parallel ({workers['transport']}, warm workers): "
+    print(f"parallel ({workers['num_workers']} warm workers): "
           f"{parallel_accepted}/{total} accepted, "
           f"{workers['cache_hits']} worker cache hits / "
           f"{workers['cache_misses']} misses")

@@ -55,8 +55,6 @@ from .core.design_space import DesignSpace
 from .data import ALL_QUERIES, inflate, load_dataset
 from .engine import (
     DEFAULT_CHUNK_BYTES,
-    DEFAULT_TRANSPORT,
-    TRANSPORTS,
     AtomCache,
     FileSource,
     FilterEngine,
@@ -251,7 +249,6 @@ def _engine_from_args(args):
         backend=getattr(args, "backend", "vectorized"),
         chunk_bytes=args.chunk_bytes,
         num_workers=args.workers,
-        transport=args.transport,
         mp_context=args.mp_context,
         cache=_load_cache(args),
         cache_store=getattr(args, "cache_store", None),
@@ -259,7 +256,7 @@ def _engine_from_args(args):
 
 
 def _peak_rss_bytes():
-    """This process's peak resident set size, in bytes (or ``None``).
+    """This process's lifetime peak resident set, in bytes (or ``None``).
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalised
     here so every BENCH_*.json carries comparable numbers and memory
@@ -273,6 +270,32 @@ def _peak_rss_bytes():
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         return int(peak)
     return int(peak) * 1024
+
+
+def _reset_peak_rss():
+    """Reset this process's VmHWM so the next reading covers one pass.
+
+    ``False`` where the kernel refuses (no ``/proc``, or writing ``5``
+    to ``clear_refs`` is not permitted).
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
+def _pass_peak_rss_bytes():
+    """VmHWM of this process since the last :func:`_reset_peak_rss`."""
+    try:
+        with open("/proc/self/status") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 def _parse_endpoint(text):
@@ -312,8 +335,7 @@ def _print_worker_stats(engine):
         for pid, w in workers["workers"].items()
     )
     print(
-        f"workers [{workers['transport']}/"
-        f"{workers['mp_context']}]: {per_worker}",
+        f"workers [{workers['mp_context']}]: {per_worker}",
         file=sys.stderr,
     )
 
@@ -465,10 +487,16 @@ def cmd_bench(args):
     merge_lines = []
     passes = []
     previous_hit_rate = {}
+    # resetting the high-water mark per pass also lowers what
+    # ru_maxrss reports afterwards, so the lifetime peak is the largest
+    # reading taken before each reset, after each pass and at the end
+    rss_readings = []
     try:
         for backend in backends:
             for repeat in range(args.repeat):
                 cache_before = engine.stats()["cache"]
+                rss_readings.append(_peak_rss_bytes() or 0)
+                scoped = _reset_peak_rss()
                 with _bench_source(
                     args.source, ndjson, args.chunk_bytes
                 ) as source:
@@ -481,6 +509,10 @@ def cmd_bench(args):
                         records = batch.records_seen
                     elapsed = time.perf_counter() - start
                     ingested = source.stats()["bytes_read"]
+                peak = _pass_peak_rss_bytes() if scoped else None
+                if peak is None:
+                    scoped, peak = False, _peak_rss_bytes()
+                rss_readings.append(peak or 0)
                 rate = payload / elapsed if elapsed > 0 else float("inf")
                 label = backend.strip()
                 if args.repeat > 1:
@@ -508,16 +540,13 @@ def cmd_bench(args):
                         records / elapsed if elapsed > 0 else None
                     ),
                     # bytes actually delivered by the source layer this
-                    # pass (== payload for complete streams) and the
-                    # ingest rate they imply
+                    # pass (== payload for complete streams)
                     "ingest_bytes": ingested,
-                    "ingest_bytes_per_second": (
-                        ingested / elapsed if elapsed > 0 else None
-                    ),
-                    # peak RSS as of the end of this pass: memory
-                    # regressions show up in every BENCH_*.json, not
-                    # only the tiered-ingest benchmark
-                    "peak_rss_bytes": _peak_rss_bytes(),
+                    # this pass's peak RSS where the kernel lets the
+                    # high-water mark be reset, the lifetime peak
+                    # otherwise
+                    "peak_rss_bytes": peak,
+                    "peak_rss_scope": "pass" if scoped else "lifetime",
                     "cache_delta": _cache_delta(
                         cache_before, stats["cache"]
                     ),
@@ -540,7 +569,6 @@ def cmd_bench(args):
             f"{dataset.name} — {expr.notation()} "
             f"(source={args.source}, chunk={args.chunk_bytes}, "
             f"workers={args.workers}, "
-            f"transport={engine.config.transport_name()}, "
             f"cache={'on' if engine.atom_cache is not None else 'off'})"
         ),
     ))
@@ -593,13 +621,14 @@ def cmd_bench(args):
             "config": {
                 "chunk_bytes": args.chunk_bytes,
                 "workers": args.workers,
-                "transport": engine.config.transport_name(),
                 "source": args.source,
                 "cache": engine.atom_cache is not None,
                 "cache_store": getattr(args, "cache_store", None),
                 "repeat": args.repeat,
             },
-            "peak_rss_bytes": _peak_rss_bytes(),
+            "peak_rss_bytes": max(
+                rss_readings + [_peak_rss_bytes() or 0]
+            ) or None,
             "passes": passes,
             "cache": cache_stats,
             "selectivity": final_stats["selectivity"],
@@ -1013,13 +1042,6 @@ def _add_engine_arguments(parser, with_backend=True):
     parser.add_argument(
         "--workers", type=int, default=1,
         help="shard chunks across this many worker processes",
-    )
-    parser.add_argument(
-        "--transport", default=DEFAULT_TRANSPORT,
-        choices=sorted(TRANSPORTS),
-        help="how framed chunks reach the workers: pickled record "
-             "lists, or shared-memory slot rings with pickle-free "
-             "record views",
     )
     parser.add_argument(
         "--mp-context", default=None,

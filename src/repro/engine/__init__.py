@@ -28,18 +28,14 @@ layers that model the paper's ingest/evaluation boundary explicitly:
   reframed across chunk seams by
   :class:`repro.engine.framing.RecordFramer` and evaluated in bounded
   memory;
-* :class:`~repro.engine.transport.WorkerTransport` — how framed chunks
-  reach ``num_workers`` worker processes
-  (:class:`ForkPickleTransport` pickles record lists,
-  :class:`SharedMemoryTransport` ships payloads through shared-memory
-  slot rings with pickle-free record views), with workers started from
-  a warm :class:`AtomCache` snapshot and per-worker counters reported
-  via ``engine.stats()``.  The default for ``num_workers > 1`` is the
-  :class:`~repro.engine.transport.ResidentWorkerPool`: workers spawn
-  once per engine and stay warm across streams, passes and filter
-  swaps, receiving incremental cache deltas instead of per-run
-  re-snapshots, with respawn-on-death fault tolerance and lifecycle
-  hooks (``engine.warm_up()`` / ``drain()`` / ``close()``).
+* :class:`~repro.engine.transport.ResidentWorkerPool` — how framed
+  chunks reach ``num_workers`` worker processes: payloads and results
+  travel through shared-memory slot rings with pickle-free record
+  views; workers spawn once per engine and stay warm across streams,
+  passes and filter swaps, receiving incremental cache deltas, with
+  respawn-on-death fault tolerance, per-worker counters reported via
+  ``engine.stats()`` and lifecycle hooks (``engine.warm_up()`` /
+  ``drain()`` / ``close()``).
 
 ``FilterEngine(cache=True)`` attaches a shared
 :class:`~repro.engine.atom_cache.AtomCache`: per-atom match masks and
@@ -75,7 +71,6 @@ from .compiled import (
 )
 from .engine import (
     DEFAULT_CHUNK_BYTES,
-    DEFAULT_TRANSPORT,
     EngineConfig,
     FilterEngine,
     StreamBatch,
@@ -96,15 +91,7 @@ from .sources import (
     ingest_dataset,
     ingest_records,
 )
-from .transport import (
-    TRANSPORTS,
-    ForkPickleTransport,
-    ResidentWorkerPool,
-    SharedMemoryTransport,
-    WorkerTransport,
-    resolve_mp_context,
-    resolve_transport,
-)
+from .transport import ResidentWorkerPool, resolve_mp_context
 
 __all__ = [
     "AtomCache",
@@ -125,7 +112,6 @@ __all__ = [
     "SelectivityTracker",
     "clear_kernels",
     "DEFAULT_CHUNK_BYTES",
-    "DEFAULT_TRANSPORT",
     "EngineConfig",
     "FilterEngine",
     "StreamBatch",
@@ -144,11 +130,6 @@ __all__ = [
     "as_chunk_source",
     "ingest_dataset",
     "ingest_records",
-    "TRANSPORTS",
-    "ForkPickleTransport",
     "ResidentWorkerPool",
-    "SharedMemoryTransport",
-    "WorkerTransport",
     "resolve_mp_context",
-    "resolve_transport",
 ]

@@ -14,9 +14,9 @@ Two execution shapes:
   (or anything :func:`~repro.engine.sources.as_chunk_source` accepts) in
   bounded memory, reframe records across chunk seams, evaluate chunk by
   chunk and yield :class:`StreamBatch` results; with ``num_workers > 1``
-  the framed chunks are shipped to worker processes through the
-  configured :class:`~repro.engine.transport.WorkerTransport` while
-  preserving record order.
+  the framed chunks are shipped to the workers of the engine's
+  :class:`~repro.engine.transport.ResidentWorkerPool` while preserving
+  record order.
 """
 
 from __future__ import annotations
@@ -38,17 +38,9 @@ from .backends import (
 from .compiled import CompiledBackend, SelectivityTracker
 from .framing import RecordFramer
 from .sources import ChunkSource, FileSource, as_chunk_source, ingest_dataset
-from .transport import (
-    ResidentWorkerPool,
-    resolve_mp_context,
-    resolve_transport,
-)
+from .transport import ResidentWorkerPool, resolve_mp_context
 
 DEFAULT_CHUNK_BYTES = 1 << 20
-#: parallel engines default to the resident pool: workers spawn once
-#: per engine and stay warm across streams/passes/filter swaps instead
-#: of paying process spawn + a cold cache re-snapshot per run
-DEFAULT_TRANSPORT = "resident"
 
 
 class EngineConfig:
@@ -56,8 +48,7 @@ class EngineConfig:
 
     def __init__(self, backend="vectorized",
                  chunk_bytes=DEFAULT_CHUNK_BYTES, num_workers=1,
-                 transport=DEFAULT_TRANSPORT, mp_context=None,
-                 cache_store=None, verify_kernels=None):
+                 mp_context=None, cache_store=None, verify_kernels=None):
         if chunk_bytes <= 0:
             raise ReproError("chunk_bytes must be positive")
         if num_workers <= 0:
@@ -65,9 +56,6 @@ class EngineConfig:
         self.backend = backend
         self.chunk_bytes = chunk_bytes
         self.num_workers = num_workers
-        #: how framed chunks travel to workers (name or transport class)
-        self.transport = transport
-        resolve_transport(transport)  # fail fast on unknown names
         #: explicit multiprocessing start method (``None`` = fork where
         #: available, spawn otherwise — resolved deterministically, see
         #: :func:`repro.engine.transport.resolve_mp_context`)
@@ -85,16 +73,11 @@ class EngineConfig:
         #: ``True`` explicitly)
         self.verify_kernels = verify_kernels
 
-    def transport_name(self):
-        transport = resolve_transport(self.transport)
-        return transport.name
-
     def __repr__(self):
         return (
             f"EngineConfig(backend={self.backend!r}, "
             f"chunk_bytes={self.chunk_bytes}, "
             f"num_workers={self.num_workers}, "
-            f"transport={self.transport_name()!r}, "
             f"mp_context={self.mp_context!r}, "
             f"cache_store={self.cache_store!r}, "
             f"verify_kernels={self.verify_kernels!r})"
@@ -141,9 +124,8 @@ class FilterEngine:
 
     def __init__(self, backend="vectorized",
                  chunk_bytes=DEFAULT_CHUNK_BYTES, num_workers=1,
-                 config=None, cache=None, transport=DEFAULT_TRANSPORT,
-                 mp_context=None, cache_store=None,
-                 verify_kernels=None):
+                 config=None, cache=None, mp_context=None,
+                 cache_store=None, verify_kernels=None):
         if isinstance(backend, EngineConfig):
             # FilterEngine(EngineConfig(...)) — the config is the
             # natural first positional argument, not a backend name
@@ -156,7 +138,7 @@ class FilterEngine:
             backend = "vectorized"
         if config is None:
             config = EngineConfig(backend, chunk_bytes, num_workers,
-                                  transport, mp_context, cache_store,
+                                  mp_context, cache_store,
                                   verify_kernels)
         elif not isinstance(config, EngineConfig):
             raise ReproError(
@@ -168,7 +150,6 @@ class FilterEngine:
                     ("backend", backend, "vectorized"),
                     ("chunk_bytes", chunk_bytes, DEFAULT_CHUNK_BYTES),
                     ("num_workers", num_workers, 1),
-                    ("transport", transport, DEFAULT_TRANSPORT),
                     ("mp_context", mp_context, None),
                     ("cache_store", cache_store, None),
                     ("verify_kernels", verify_kernels, None),
@@ -205,7 +186,7 @@ class FilterEngine:
         #: why the most recent num_workers > 1 stream ran serially
         self._parallel_fallback = None
         self._fallback_warned = False
-        #: lazily created persistent worker pool (resident transport)
+        #: lazily created persistent worker pool (num_workers > 1)
         self._resident_pool = None
 
     # -- backend handling ---------------------------------------------------
@@ -244,10 +225,10 @@ class FilterEngine:
     def match_bits(self, predicate, records, backend=None):
         """Per-record accept bits for an in-memory record batch.
 
-        With ``num_workers > 1`` on the resident transport, the batch
-        is sharded contiguously across the pool's warm workers and the
-        per-shard bits concatenated — this is how a pooled gateway
-        engine drives multi-process evaluation from one call.  The
+        With ``num_workers > 1`` the batch is sharded contiguously
+        across the resident pool's warm workers and the per-shard bits
+        concatenated — this is how a pooled gateway engine drives
+        multi-process evaluation from one call.  The
         serial backend path handles everything the pool cannot take
         (backend instances, unpicklable predicates, trivial batches,
         a pool mid-stream or broken) with identical results.
@@ -255,9 +236,7 @@ class FilterEngine:
         if isinstance(records, ChunkSource):
             records = self.ingest(records)
         chosen = backend if backend is not None else self.config.backend
-        if (self.config.num_workers > 1
-                and isinstance(chosen, str)
-                and self._resident_transport()):
+        if self.config.num_workers > 1 and isinstance(chosen, str):
             bits = self._match_bits_pooled(predicate, records, chosen)
             if bits is not None:
                 return bits
@@ -366,7 +345,6 @@ class FilterEngine:
             "backend": self.config.backend,
             "chunk_bytes": self.config.chunk_bytes,
             "num_workers": self.config.num_workers,
-            "transport": self.config.transport_name(),
             "mp_context": self.config.mp_context,
             "cache": cache.stats() if cache is not None else None,
             "workers": self._worker_stats,
@@ -391,10 +369,9 @@ class FilterEngine:
         chunks.  Records straddling chunk seams are reassembled by
         :class:`RecordFramer`; a missing trailing newline still yields
         the final record.  With ``num_workers > 1`` framed chunks are
-        shipped to worker processes through the configured
-        :class:`WorkerTransport` (at most ``2 * num_workers`` chunks in
-        flight), and batches are yielded strictly in input order either
-        way.
+        shipped to the engine's resident worker pool (at most
+        ``2 * num_workers`` chunks in flight), and batches are yielded
+        strictly in input order either way.
         """
         source = as_chunk_source(chunks, self.config.chunk_bytes)
         if self.config.num_workers > 1:
@@ -491,19 +468,13 @@ class FilterEngine:
                 stacklevel=3,
             )
 
-    def _resident_transport(self):
-        """True when the configured transport is the resident pool."""
-        return bool(getattr(
-            resolve_transport(self.config.transport), "resident", False
-        ))
-
     def _ensure_resident_pool(self):
         """The engine's persistent worker pool, created on first use.
 
         The pool outlives individual streams — that persistence (warm
         worker AtomCaches, compiled-kernel registries, no per-run
-        spawn) is the entire point of the resident transport.  It is
-        torn down by :meth:`close` (or GC/exit finalizers).
+        spawn) is the entire point of the pool.  It is torn down by
+        :meth:`close` (or GC/exit finalizers).
         """
         if self._resident_pool is None:
             self._resident_pool = ResidentWorkerPool(
@@ -519,9 +490,9 @@ class FilterEngine:
 
         Useful before latency-sensitive serving: the first parallel
         stream then finds workers already alive and warm.  Serial
-        engines (or non-resident transports) no-op.
+        engines no-op.
         """
-        if self.config.num_workers > 1 and self._resident_transport():
+        if self.config.num_workers > 1:
             self._ensure_resident_pool().warm_up()
         return self
 
@@ -553,23 +524,6 @@ class FilterEngine:
         self.close()
         return False
 
-    def _create_transport(self, backend_name, payload):
-        transport_cls = resolve_transport(self.config.transport)
-        cache_snapshot = None
-        if self.atom_cache is not None:
-            # warm start: workers begin with the parent's already
-            # computed masks instead of evaluating every chunk cold
-            cache_snapshot = self.atom_cache.snapshot()
-        return transport_cls(
-            num_workers=self.config.num_workers,
-            payload=payload,
-            backend_name=backend_name,
-            mp_context=self.config.mp_context,
-            cache_snapshot=cache_snapshot,
-            chunk_bytes=self.config.chunk_bytes,
-            atom_cache=self.atom_cache,
-        )
-
     def _stream_parallel(self, predicate, source, backend, payload):
         backend_name = backend if backend is not None else (
             self.config.backend
@@ -583,24 +537,20 @@ class FilterEngine:
             )
             yield from self._stream_serial(predicate, source, backend)
             return
-        if self._resident_transport():
-            # session over the engine's persistent pool: same
-            # submit/drain protocol, but close() only ends the stream
-            # — the warm workers survive for the next one
-            transport = self._ensure_resident_pool().session(
-                payload, backend_name
-            )
-        else:
-            transport = self._create_transport(backend_name, payload)
+        # a session over the engine's persistent pool: close() only
+        # ends the stream — the warm workers survive for the next one
+        session = self._ensure_resident_pool().session(
+            payload, backend_name
+        )
         try:
             pending = []  # consumed-bytes/records ride next to the
-            index = 0     # transport's in-order result queue
+            index = 0     # session's in-order result queue
             records_seen = bytes_seen = accepted_seen = 0
 
             def drain_one():
                 nonlocal index, records_seen, bytes_seen, accepted_seen
                 records, consumed_bytes = pending.pop(0)
-                matches, count = transport.drain()
+                matches, count = session.drain()
                 records_seen += count
                 accepted_seen += int(np.count_nonzero(matches))
                 bytes_seen = consumed_bytes
@@ -613,17 +563,17 @@ class FilterEngine:
             for records, framer in self._framed(source):
                 consumed = framer.bytes_consumed - framer.pending_bytes
                 pending.append((records, consumed))
-                transport.submit(records)
-                while transport.in_flight >= transport.max_in_flight:
+                session.submit(records)
+                while session.in_flight >= session.max_in_flight:
                     yield drain_one()
-            while transport.in_flight:
+            while session.in_flight:
                 yield drain_one()
         finally:
             # worker-computed AtomCache deltas merged as each result
             # drained (natural end and abandoned streams alike); the
-            # counters are captured once the pool is down
-            transport.close()
-            self._worker_stats = transport.stats()
+            # counters are captured once the session is closed
+            session.close()
+            self._worker_stats = session.stats()
 
     # -- convenience --------------------------------------------------------
 

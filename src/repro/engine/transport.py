@@ -1,34 +1,29 @@
-"""Pluggable worker transports for parallel streaming (WorkerTransport).
+"""The resident worker pool: how framed chunks reach worker processes.
 
-With ``num_workers > 1`` the engine shards framed chunks across worker
-processes.  *How* a framed chunk travels to a worker — and what state
-the worker starts with — is this layer's concern:
+With ``num_workers > 1`` the engine shards framed chunks across the
+workers of one :class:`ResidentWorkerPool`, spawned once per engine and
+kept alive across streams, passes and filter swaps:
 
-* :class:`ForkPickleTransport` — the compatibility backend: record
-  lists are pickled through a ``multiprocessing.Pool``'s task pipe.
-  Works everywhere, pays serialisation on every chunk.
-* :class:`SharedMemoryTransport` — framed chunk payloads are written
-  into a ring of ``multiprocessing.shared_memory`` slots (newline-
-  terminated stream bytes + record-boundary offsets); workers map the
-  slot and rebuild the record batch with **no pickle on the payload
-  path**, reconstructing the engine-batch ``Dataset`` (stream + starts)
-  directly from the shared buffer.  The same slots form the **result
-  ring**: once a worker has copied the batch out, it overwrites the
-  slot with a result frame — raw packed match bits, its cumulative
-  counters and any newly computed AtomCache delta — and sends only a
-  ``None`` sentinel through the pool's result pipe, so the payload is
-  pickle-free in *both* directions.  A result frame that cannot fit
-  its slot (or a batch that rode the pickled request fallback) returns
-  through the pipe instead; ``stats()`` separates ``ring_results``
-  from ``pickled_results``.
+* framed chunk payloads are written into a ring of
+  ``multiprocessing.shared_memory`` slots (newline-terminated stream
+  bytes + record-boundary offsets); workers map the slot and rebuild
+  the record batch with **no pickle on the payload path**,
+  reconstructing the engine-batch ``Dataset`` (stream + starts)
+  directly from the shared buffer;
+* the same slots form the **result ring**: once a worker has copied
+  the batch out, it overwrites the slot with a result frame — raw
+  packed match bits, its cumulative counters and any newly computed
+  AtomCache delta — and sends only a sentinel through its result
+  queue.  A batch that does not fit a slot, or a result frame that
+  outgrows it, travels pickled instead; ``stats()`` separates
+  ``ring_results`` from ``pickled_results`` and counts
+  ``fallback_batches``.
 
-Both transports initialise every worker once with the pickled
-predicate, the backend name and — when the owning engine carries an
-:class:`~repro.engine.atom_cache.AtomCache` — a **warm cache snapshot**,
-so parallel streaming no longer evaluates cold: chunks whose content the
-parent has already evaluated are served from the worker's cache, and
-per-worker hit/miss/chunk counters flow back into ``engine.stats()``.
-Workers also track the entries they compute *beyond* the snapshot
+Each worker keeps its own :class:`~repro.engine.atom_cache.AtomCache`.
+The parent ships the entries of its cache that no worker has seen yet
+(:meth:`ResidentWorkerPool.sync_cache`), so chunks whose content the
+parent has already evaluated are served from the worker's cache.
+Workers track the entries they compute themselves
 (:meth:`AtomCache.track_deltas`); each result carries that delta, and
 the parent merges it into its own cache as the result drains
 (:meth:`AtomCache.merge_snapshot`, bounded by the cache's LRU/byte
@@ -95,56 +90,22 @@ def resolve_mp_context(mp_context=None):
 
 # -- worker-side state --------------------------------------------------------
 #
-# Module-level so the task functions stay picklable under both fork and
-# spawn.  Each worker process holds the resolved predicate/backend, an
-# optional AtomCache seeded from the parent's snapshot, its shared-memory
-# attachments, and cumulative counters that ride back on every result.
+# Module-level so the worker entry point stays picklable under both fork
+# and spawn.  Each worker process holds the resolved predicate/backend,
+# its AtomCache, its shared-memory attachments, and cumulative counters
+# that ride back on every result.
 
 _WORKER = {}
 
 
-def _worker_init(payload, backend_name, cache_snapshot):
-    from .atom_cache import AtomCache
-    from .backends import resolve_backend, resolve_expression
-
-    predicate = pickle.loads(payload)
-    backend = resolve_backend(backend_name)
-    cache = None
-    if cache_snapshot is not None:
-        cache = AtomCache()
-        cache.load_snapshot(cache_snapshot)
-        # everything inserted past this point is state the parent does
-        # not have yet — each result ships it back for merge_snapshot()
-        cache.track_deltas()
-        if getattr(backend, "atom_cache", False) is None:
-            backend.atom_cache = cache
-    if getattr(backend, "wants_expression", False):
-        # expression-oriented backends (vectorized, compiled) resolve
-        # the shipped predicate once per worker; the compiled backend
-        # then recompiles its fused kernel from the expression locally
-        # — kernels themselves are never pickled across the transport
-        expression = resolve_expression(predicate)
-        if expression is not None:
-            predicate = expression
-    _WORKER.clear()
-    _WORKER.update(
-        predicate=predicate,
-        backend=backend,
-        cache=cache,
-        shm={},
-        chunks=0,
-        records=0,
-    )
-
-
 def _worker_stats():
-    cache = _WORKER.get("cache")
+    cache = _WORKER["cache"]
     return (
         os.getpid(),
         _WORKER["chunks"],
         _WORKER["records"],
-        cache.hits if cache is not None else 0,
-        cache.misses if cache is not None else 0,
+        cache.hits,
+        cache.misses,
     )
 
 
@@ -152,22 +113,16 @@ def _evaluate(records):
     bits = _WORKER["backend"].match_bits(_WORKER["predicate"], records)
     _WORKER["chunks"] += 1
     _WORKER["records"] += len(records)
-    cache = _WORKER.get("cache")
-    delta = cache.pop_deltas() if cache is not None else []
     return (
         np.packbits(np.asarray(bits, dtype=bool)),
         len(records),
         _worker_stats(),
-        delta,
+        _WORKER["cache"].pop_deltas(),
     )
 
 
-def _task_pickled(records):
-    return _evaluate(records)
-
-
 def _attach_slot(slot_name):
-    # pool children (fork and spawn alike) inherit the parent's
+    # workers (fork and spawn alike) inherit the parent's
     # resource tracker, so the attach-time register is deduplicated
     # there and the parent's close() remains the single unlink point
     shm = _WORKER["shm"].get(slot_name)
@@ -249,7 +204,7 @@ def _read_batch(buf):
 # five per-worker counters), the raw packed match bits, and — when an
 # AtomCache delta rides along — the delta entries as a pickled blob
 # *inside the slot*.  The match-bit payload is raw bytes in both
-# directions; only a ``None`` completion sentinel crosses the pipe.
+# directions; only a ``"ring"`` completion message crosses the queue.
 
 _RESULT_HEADER_WORDS = 8
 # (count, packed bytes, delta bytes, pid, chunks, records, hits, misses)
@@ -261,7 +216,7 @@ def _write_result(buf, packed, count, stats, delta):
 
     Returns ``False`` (slot untouched beyond the copied-out request)
     when the frame does not fit — the caller then returns the result
-    through the pickled pipe instead, so slot capacity never affects
+    pickled through its queue instead, so slot capacity never affects
     correctness.
     """
     delta_blob = (
@@ -305,179 +260,12 @@ def _read_result(buf):
     return packed, count, stats, delta
 
 
-def _task_shared(slot_name):
-    buf = _attach_slot(slot_name).buf
-    result = _evaluate(_read_batch(buf))
-    if _write_result(buf, *result):
-        return None  # result frame is in the slot, nothing to pickle
-    return result
-
-
 def _unpack_bits(packed, count):
     return np.unpackbits(packed, count=count).astype(bool)
 
 
-# -- parent-side transports ---------------------------------------------------
-
-class WorkerTransport:
-    """Base class: ship framed record batches to a worker pool.
-
-    A transport instance is one streaming session: construction starts
-    the pool (workers initialised with predicate + backend + optional
-    warm :class:`AtomCache` snapshot), :meth:`submit` enqueues one
-    framed batch, :meth:`drain` returns results strictly in submission
-    order, :meth:`close` tears the pool down.  ``stats()`` aggregates
-    the per-worker counters observed on results so far.
-
-    When ``atom_cache`` is the parent's cache, the AtomCache deltas
-    riding on drained results merge back into it incrementally as
-    :meth:`drain` returns them (the cache's own LRU/byte bounds cap
-    the resident footprint, so arbitrarily long streams stay
-    bounded).  Natural stream end and an abandoned stream generator
-    behave identically: every batch drained before :meth:`close` has
-    already merged, so its worker-computed masks survive the pool.
-    """
-
-    name = "?"
-
-    def __init__(self, num_workers, payload, backend_name="vectorized",
-                 mp_context=None, cache_snapshot=None,
-                 chunk_bytes=1 << 20, atom_cache=None):
-        if num_workers <= 0:
-            raise ReproError("num_workers must be positive")
-        self.num_workers = num_workers
-        self.chunk_bytes = chunk_bytes
-        #: chunks the engine may keep in flight before draining
-        self.max_in_flight = 2 * num_workers
-        self.context = resolve_mp_context(mp_context)
-        #: parent cache receiving worker-computed deltas as results
-        #: drain
-        self.atom_cache = atom_cache
-        #: delta entries received from workers on drained results
-        self.delta_entries = 0
-        #: entries merged into / skipped by the parent cache on close()
-        self.merged_entries = 0
-        self.merge_skipped = 0
-        #: results that returned through the pool's pickled pipe
-        self.pickled_results = 0
-        self._pending = []
-        self._worker_stats = {}
-        self._setup()
-        self._pool = self.context.Pool(
-            processes=num_workers,
-            initializer=_worker_init,
-            initargs=(payload, backend_name, cache_snapshot),
-        )
-
-    def _setup(self):
-        """Transport-specific state created before the pool starts."""
-
-    # -- session protocol ---------------------------------------------------
-
-    def submit(self, records):
-        """Enqueue one framed record batch for evaluation."""
-        self._pending.append(self._dispatch(records))
-
-    def _dispatch(self, records):
-        raise NotImplementedError
-
-    @property
-    def in_flight(self):
-        return len(self._pending)
-
-    def drain(self):
-        """(matches, count) of the oldest in-flight batch (blocking)."""
-        if not self._pending:
-            raise ReproError("no batch in flight to drain")
-        handle = self._pending.pop(0)
-        packed, count, stats, delta = self._collect(handle)
-        pid, chunks, records, hits, misses = stats
-        self._worker_stats[pid] = {
-            "chunks": chunks,
-            "records": records,
-            "cache_hits": hits,
-            "cache_misses": misses,
-        }
-        if delta:
-            self.delta_entries += len(delta)
-            if self.atom_cache is not None:
-                # merge as results drain, not buffered until close():
-                # the parent cache's own LRU/byte bounds then cap the
-                # resident footprint, preserving bounded-memory
-                # streaming however long the stream runs
-                self._merge_entries(delta)
-        return _unpack_bits(packed, count), count
-
-    def _collect(self, handle):
-        self.pickled_results += 1
-        return handle.get()
-
-    def stats(self):
-        """Aggregate + per-worker counters seen on results so far."""
-        workers = {
-            pid: dict(counters)
-            for pid, counters in sorted(self._worker_stats.items())
-        }
-        return {
-            "transport": self.name,
-            "mp_context": self.context.get_start_method(),
-            "num_workers": self.num_workers,
-            "chunks": sum(w["chunks"] for w in workers.values()),
-            "records": sum(w["records"] for w in workers.values()),
-            "cache_hits": sum(
-                w["cache_hits"] for w in workers.values()
-            ),
-            "cache_misses": sum(
-                w["cache_misses"] for w in workers.values()
-            ),
-            "pickled_results": self.pickled_results,
-            "delta_entries": self.delta_entries,
-            "merged_entries": self.merged_entries,
-            "merge_skipped": self.merge_skipped,
-            "workers": workers,
-        }
-
-    def _merge_entries(self, entries):
-        """Merge one result's delta into the parent's AtomCache.
-
-        Entries whose key the parent computed itself in the meantime
-        are skipped: the content fingerprint in the key guarantees
-        they are byte-equivalent, so nothing is lost.
-        """
-        merged, skipped = self.atom_cache.merge_snapshot(entries)
-        self.merged_entries += merged
-        self.merge_skipped += skipped
-
-    def close(self):
-        self._pool.terminate()
-        self._pool.join()
-        self._pending.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
-    def __repr__(self):
-        return (
-            f"{type(self).__name__}(workers={self.num_workers}, "
-            f"context={self.context.get_start_method()!r})"
-        )
-
-
-class ForkPickleTransport(WorkerTransport):
-    """Compatibility backend: pickle each record batch to the pool."""
-
-    name = "fork-pickle"
-
-    def _dispatch(self, records):
-        return self._pool.apply_async(_task_pickled, (list(records),))
-
-
 class _Slot:
-    """One shared-memory segment of the transport's ring."""
+    """One shared-memory segment of the pool's slot ring."""
 
     __slots__ = ("shm", "index")
 
@@ -486,106 +274,11 @@ class _Slot:
         self.index = index
 
 
-class SharedMemoryTransport(WorkerTransport):
-    """Ship framed chunks through a shared-memory slot ring.
-
-    One slot per possible in-flight chunk; the parent writes the
-    newline-terminated payload plus an ``int64`` record-boundary array
-    into a free slot and sends only the slot name through the task
-    pipe.  The worker copies the batch out, then reuses the same slot
-    as its **result slot** (:func:`_write_result`): packed match bits,
-    per-worker counters and any AtomCache delta come back mapped from
-    shared memory, with only a ``None`` sentinel crossing the pipe —
-    the pickle-free round trip.  A batch that does not fit its slot
-    (for instance a single record far larger than ``chunk_bytes``) or
-    a result frame that outgrows the slot transparently falls back to
-    the pickled path — correctness never depends on slot capacity.
-    """
-
-    name = "shared-memory"
-
-    #: headroom beyond 2x chunk_bytes for boundary arrays of small
-    #: records and for the seam record carried past a chunk boundary
-    SLOT_SLACK_BYTES = 1 << 16
-
-    def _setup(self):
-        from multiprocessing import shared_memory
-
-        self.slot_bytes = 2 * self.chunk_bytes + self.SLOT_SLACK_BYTES
-        #: ring size; stable across close() (the slot list is not)
-        self.num_slots = 2 * self.num_workers
-        self._slots = []
-        self._free = []
-        for index in range(self.num_slots):
-            shm = shared_memory.SharedMemory(
-                create=True, size=self.slot_bytes
-            )
-            slot = _Slot(shm, index)
-            self._slots.append(slot)
-            self._free.append(slot)
-        #: batches that exceeded slot capacity and went over pickle
-        self.fallback_batches = 0
-        #: results mapped directly from the shared result ring
-        self.ring_results = 0
-
-    def _dispatch(self, records):
-        records = list(records)
-        if (not self._free
-                or batch_slot_bytes(records) > self.slot_bytes):
-            self.fallback_batches += 1
-            return (
-                None,
-                self._pool.apply_async(_task_pickled, (records,)),
-            )
-        slot = self._free.pop()
-        _write_batch(slot.shm.buf, records)
-        return (
-            slot,
-            self._pool.apply_async(_task_shared, (slot.shm.name,)),
-        )
-
-    def _collect(self, handle):
-        slot, result = handle
-        try:
-            value = result.get()
-            if value is None:
-                # the worker left its result frame in the slot; map it
-                # out before the finally clause recycles the slot
-                self.ring_results += 1
-                return _read_result(slot.shm.buf)
-            self.pickled_results += 1
-            return value
-        finally:
-            if slot is not None:
-                self._free.append(slot)
-
-    def stats(self):
-        stats = super().stats()
-        stats["slots"] = self.num_slots
-        stats["slot_bytes"] = self.slot_bytes
-        stats["fallback_batches"] = self.fallback_batches
-        stats["ring_results"] = self.ring_results
-        return stats
-
-    def close(self):
-        super().close()
-        for slot in self._slots:
-            with contextlib.suppress(Exception):
-                slot.shm.close()
-            with contextlib.suppress(FileNotFoundError):
-                slot.shm.unlink()
-        self._slots = []
-        self._free = []
-
-
 # -- the resident worker pool -------------------------------------------------
 #
-# The per-stream transports above pay process spawn plus a full cold
-# cache re-snapshot on *every* parallel run — which is why 4 workers
-# used to run at 0.4-0.6x of serial.  The resident pool inverts the
-# lifetime: workers are spawned once per engine, survive across
-# streams, passes and filter swaps, keep their AtomCache and the
-# process-wide compiled-kernel registry warm in place, and receive only
+# Workers are spawned once per engine, survive across streams, passes
+# and filter swaps, keep their AtomCache and the process-wide
+# compiled-kernel registry warm in place, and receive only
 # *incremental* cache deltas (the ``snapshot()``/``merge_snapshot()``
 # wire format) the parent has not shipped before.  A filter SWAP is a
 # single re-configure message — the compiled backend's fingerprint-
@@ -597,8 +290,8 @@ def _resident_worker_main(worker_id, task_queue, result_queue):
 
     The worker owns a persistent :class:`AtomCache` (delta-tracked from
     birth) and a by-name backend registry, both surviving across
-    ``configure`` commands — that persistence *is* the warm state the
-    per-stream transports kept throwing away.  Commands:
+    ``configure`` commands — that persistence is the warm state a
+    second stream over the same pool starts from.  Commands:
 
     ``("configure", payload, backend_name)``
         Unpickle the predicate, resolve (and memoise) the backend,
@@ -714,7 +407,8 @@ class _WorkerHandle:
 
 
 def _cleanup_resident(workers, slots):
-    """Finalizer shared by ``close()``, GC and interpreter exit.
+    """Finalizer shared by ``close()``, GC, interpreter exit and a
+    failed start-up.
 
     Operates on the pool's *containers* (mutated in place across
     respawns) so it never keeps the pool object itself alive; running
@@ -750,16 +444,13 @@ def _cleanup_resident(workers, slots):
 class ResidentWorkerPool:
     """Persistent worker pool: spawn once, stay warm, survive swaps.
 
-    Unlike the :class:`WorkerTransport` family (one pool per streaming
-    session), a resident pool lives as long as its owning engine: the
-    engine calls :meth:`session` at the start of each parallel stream
-    and gets a transport-protocol facade (``submit``/``drain``/
-    ``close``) over the *same* long-lived workers.  Between sessions
-    nothing is torn down — worker AtomCaches and compiled-kernel
-    registries stay warm in place, and the parent ships only the cache
-    entries it has not shipped before (:meth:`sync_cache`, the
-    incremental counterpart of the per-stream transports' full
-    re-snapshot).
+    A resident pool lives as long as its owning engine: the engine
+    calls :meth:`session` at the start of each parallel stream and gets
+    a ``submit``/``drain``/``close`` facade over the *same* long-lived
+    workers.  Between sessions nothing is torn down — worker
+    AtomCaches and compiled-kernel registries stay warm in place, and
+    the parent ships only the cache entries it has not shipped before
+    (:meth:`sync_cache`).
 
     Fault tolerance: each worker has private task/result queues (a
     killed worker can never wedge a sibling's pipe), the parent retains
@@ -770,18 +461,14 @@ class ResidentWorkerPool:
     *broken* and raises :class:`~repro.errors.WorkerCrashError`
     (batches drained before the crash, and their merged cache deltas,
     survive).  Workers are daemons and a :func:`weakref.finalize`
-    hook tears everything down on GC or interpreter exit, so an
-    engine that is never explicitly closed leaks neither processes
-    nor shared-memory slots.
+    hook tears everything down on GC, interpreter exit or a failed
+    start-up, so a pool that is never explicitly closed leaks neither
+    processes nor shared-memory slots.
     """
 
-    name = "resident"
-    #: class marker the engine branches on (pool lifetime != stream
-    #: lifetime, so construction goes through the engine, not
-    #: ``_create_transport``)
-    resident = True
-
-    SLOT_SLACK_BYTES = SharedMemoryTransport.SLOT_SLACK_BYTES
+    #: headroom beyond 2x chunk_bytes for boundary arrays of small
+    #: records and for the seam record carried past a chunk boundary
+    SLOT_SLACK_BYTES = 1 << 16
 
     def __init__(self, num_workers, mp_context=None,
                  chunk_bytes=1 << 20, atom_cache=None, max_respawns=3):
@@ -797,14 +484,12 @@ class ResidentWorkerPool:
         self.max_respawns = max_respawns
         self.slot_bytes = 2 * chunk_bytes + self.SLOT_SLACK_BYTES
         self.num_slots = 2 * num_workers
-        #: residency counters (how much respawn/re-ship work the pool
-        #: *avoided* is the difference between these and the per-stream
-        #: transports' implicit one-of-each-per-stream)
+        #: residency counters
         self.sessions = 0
         self.configures = 0
         self.respawns = 0
         self.shipped_entries = 0
-        #: result-path counters (same meaning as SharedMemoryTransport)
+        #: result-path counters
         self.ring_results = 0
         self.pickled_results = 0
         self.fallback_batches = 0
@@ -830,19 +515,25 @@ class ResidentWorkerPool:
         self._ring_lock = threading.Lock()
         self._slots = []  # guarded-by: _ring_lock
         self._free = []  # guarded-by: _ring_lock
-        for index in range(self.num_slots):
-            shm = shared_memory.SharedMemory(
-                create=True, size=self.slot_bytes
-            )
-            slot = _Slot(shm, index)
-            self._slots.append(slot)
-            self._free.append(slot)
         self._workers = [None] * num_workers
-        for index in range(num_workers):
-            self._spawn(index)
+        # registered before the first slot or worker exists, so a
+        # start-up that fails partway tears down what it already made
         self._finalizer = weakref.finalize(
             self, _cleanup_resident, self._workers, self._slots
         )
+        try:
+            for index in range(self.num_slots):
+                shm = shared_memory.SharedMemory(
+                    create=True, size=self.slot_bytes
+                )
+                slot = _Slot(shm, index)
+                self._slots.append(slot)
+                self._free.append(slot)
+            for index in range(num_workers):
+                self._spawn(index)
+        except BaseException:
+            self._finalizer()
+            raise
 
     # -- worker lifecycle ---------------------------------------------------
 
@@ -1083,7 +774,7 @@ class ResidentWorkerPool:
         return self.sync(timeout)
 
     def session(self, payload, backend_name):
-        """A transport-protocol facade for one stream over this pool."""
+        """A ``submit``/``drain`` facade for one stream over this pool."""
         self._require_open()
         if self._active:
             raise ReproError(
@@ -1183,7 +874,6 @@ class ResidentWorkerPool:
             for pid, counters in sorted(self._worker_stats.items())
         }
         return {
-            "transport": self.name,
             "mp_context": self.context.get_start_method(),
             "num_workers": self.num_workers,
             "chunks": sum(w["chunks"] for w in workers.values()),
@@ -1202,7 +892,6 @@ class ResidentWorkerPool:
             "merge_skipped": self.merge_skipped,
             "slots": self.num_slots,
             "slot_bytes": self.slot_bytes,
-            "resident": True,
             "sessions": self.sessions,
             "configures": self.configures,
             "respawns": self.respawns,
@@ -1275,18 +964,15 @@ class ResidentWorkerPool:
 
 
 class _ResidentSession:
-    """One stream's transport-protocol view of a resident pool.
+    """One stream's ``submit``/``drain`` view of a resident pool.
 
-    Implements the same ``submit``/``drain``/``in_flight``/``close``/
-    ``stats`` surface as a :class:`WorkerTransport`, so the engine's
-    parallel stream loop drives both identically — but ``close()``
-    only ends the *session* (draining abandoned batches so their
-    cache deltas still merge); the pool and its warm workers survive.
+    The engine's parallel stream loop submits framed batches and
+    drains results strictly in submission order; ``close()`` only
+    ends the *session* (draining abandoned batches so their cache
+    deltas still merge) — the pool and its warm workers survive.
     """
 
     __slots__ = ("_pool", "_closed")
-
-    name = ResidentWorkerPool.name
 
     def __init__(self, pool):
         self._pool = pool
@@ -1316,8 +1002,8 @@ class _ResidentSession:
         pool = self._pool
         try:
             # abandoned streams still drain so worker-computed cache
-            # deltas merge back — mirroring WorkerTransport semantics —
-            # but a broken or closed pool cannot deliver, so discard
+            # deltas merge back, but a broken or closed pool cannot
+            # deliver, so discard
             while (pool._order and pool._broken is None
                    and not pool._closed):
                 with contextlib.suppress(ReproError):
@@ -1333,25 +1019,3 @@ class _ResidentSession:
         self.close()
         return False
 
-
-TRANSPORTS = {
-    ForkPickleTransport.name: ForkPickleTransport,
-    SharedMemoryTransport.name: SharedMemoryTransport,
-    ResidentWorkerPool.name: ResidentWorkerPool,
-}
-
-
-def resolve_transport(transport):
-    """Accept a transport name or class; return the transport class."""
-    if isinstance(transport, type) and (
-        issubclass(transport, WorkerTransport)
-        or getattr(transport, "resident", False)
-    ):
-        return transport
-    try:
-        return TRANSPORTS[transport]
-    except (KeyError, TypeError):
-        known = ", ".join(sorted(TRANSPORTS))
-        raise ReproError(
-            f"unknown transport {transport!r} (known: {known})"
-        ) from None

@@ -265,7 +265,7 @@ def render_status(snapshot):
             f"{cache['entries']} entries, {cache['bytes']} bytes"
         )
     workers = engine.get("workers")
-    if workers and workers.get("resident"):
+    if workers:
         lines.append(
             "resident workers: "
             f"{workers['num_workers']} per engine, "

@@ -189,14 +189,13 @@ class TestIngestAndTransportOptions:
         code = main([
             "filter", self.EXPRESSION,
             "--input", str(source),
-            "--workers", "2", "--transport", "shared-memory",
-            "--chunk-bytes", "256",
+            "--workers", "2", "--chunk-bytes", "256",
         ])
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.count(b'"30.0"'.decode()) >= 20
         assert "accepted 20/60" in captured.err
-        assert "workers [shared-memory/" in captured.err
+        assert "workers [" in captured.err
 
     def test_filter_from_socket_source(self, capsys):
         import socket
@@ -236,13 +235,13 @@ class TestIngestAndTransportOptions:
         code = main([
             "bench", "s:1:temperature",
             "--records", "120", "--backends", "vectorized",
-            "--workers", "2", "--transport", "shared-memory",
-            "--chunk-bytes", "2048",
+            "--workers", "2", "--chunk-bytes", "2048",
+            "--mp-context", "spawn",
         ])
         assert code == 0
         captured = capsys.readouterr()
-        assert "transport=shared-memory" in captured.out
-        assert "workers [shared-memory/" in captured.err
+        assert "workers=2" in captured.out
+        assert "workers [spawn]" in captured.err
 
     @pytest.mark.parametrize("source", ["file", "socket"])
     def test_bench_alternative_sources(self, source, capsys):
@@ -260,8 +259,8 @@ class TestIngestAndTransportOptions:
         code = main([
             "bench", "s:1:temperature",
             "--records", "120", "--backends", "vectorized",
-            "--workers", "2", "--transport", "shared-memory",
-            "--chunk-bytes", "2048", "--repeat", "2",
+            "--workers", "2", "--chunk-bytes", "2048",
+            "--repeat", "2",
         ])
         assert code == 0
         err = capsys.readouterr().err
@@ -297,12 +296,11 @@ class TestIngestAndTransportOptions:
         parser = build_arg_parser()
         args = parser.parse_args(["filter", "s:1:a"])
         assert args.source == "file"
-        assert args.transport == "resident"
+        assert not hasattr(args, "transport")
         assert args.mp_context is None
         assert args.cache is False and args.cache_file is None
         bench = parser.parse_args(["bench", "s:1:a"])
         assert bench.source == "memory"
-        assert bench.transport == "resident"
         assert bench.json is None
 
 
@@ -332,6 +330,35 @@ class TestBenchJson:
         assert document["passes"][0]["cache_delta"]["misses"] > 0
         assert document["passes"][1]["cache_delta"]["hit_rate"] == 1.0
         assert document["cache"]["hits"] > 0
+
+    @pytest.mark.parametrize("resettable", [True, False])
+    def test_bench_json_peak_rss_is_per_pass(self, tmp_path,
+                                             monkeypatch, resettable):
+        """Each pass reports its own peak RSS where the kernel lets the
+        high-water mark be reset, and says so in ``peak_rss_scope``."""
+        import repro.cli as cli
+
+        if not resettable:
+            monkeypatch.setattr(cli, "_reset_peak_rss", lambda: False)
+        elif not cli._reset_peak_rss():
+            pytest.skip("the kernel refuses to reset VmHWM")
+        out = tmp_path / "bench.json"
+        code = main([
+            "bench", "s:1:temperature",
+            "--records", "60", "--backends", "vectorized",
+            "--repeat", "2", "--json", str(out),
+        ])
+        assert code == 0
+        document = json.loads(out.read_text())
+        scope = "pass" if resettable else "lifetime"
+        assert len(document["passes"]) == 2
+        for entry in document["passes"]:
+            assert entry["peak_rss_scope"] == scope
+            assert 0 < entry["peak_rss_bytes"] <= (
+                document["peak_rss_bytes"]
+            )
+            assert entry["ingest_bytes"] == document["payload_bytes"]
+            assert "ingest_bytes_per_second" not in entry
 
     def test_bench_json_without_cache_has_null_deltas(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -517,9 +517,8 @@ class TestEngineConfigArgument:
         silently drop one of them — refuse loudly instead."""
         with pytest.raises(ReproError, match="num_workers"):
             FilterEngine(EngineConfig(backend="scalar"), num_workers=4)
-        with pytest.raises(ReproError, match="transport"):
-            FilterEngine(config=EngineConfig(),
-                         transport="shared-memory")
+        with pytest.raises(ReproError, match="mp_context"):
+            FilterEngine(config=EngineConfig(), mp_context="spawn")
         # cache is engine state, not an EngineConfig parameter
         engine = FilterEngine(EngineConfig(chunk_bytes=2048),
                               cache=True)

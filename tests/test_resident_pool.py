@@ -1,7 +1,7 @@
 """Resident worker pool: spawn once, stay warm, prove it.
 
 The acceptance bar for the persistent
-:class:`~repro.engine.transport.ResidentWorkerPool` (the default
+:class:`~repro.engine.transport.ResidentWorkerPool` (the one worker
 transport for ``num_workers > 1``):
 
 * **differential** — resident parallel streaming is bit-identical to
@@ -14,8 +14,9 @@ transport for ``num_workers > 1``):
 * **fault injection** — a SIGKILLed worker is respawned with its lost
   batches replayed (still bit-identical), an exhausted respawn budget
   raises a typed :class:`~repro.errors.WorkerCrashError` after the
-  already-drained prefix, and teardown leaks neither child processes
-  nor shared-memory slots;
+  already-drained prefix, and teardown — including a start-up that
+  fails partway — leaks neither child processes nor shared-memory
+  slots;
 * **worker loop** — the worker-side command loop runs in-process
   (visible to coverage) against plain queues and a real slot.
 """
@@ -37,12 +38,11 @@ import pytest
 import repro.core.composition as comp
 from repro.data import load_dataset
 from repro.engine import (
-    DEFAULT_TRANSPORT,
     AtomCache,
     EngineConfig,
     FilterEngine,
     ResidentWorkerPool,
-    resolve_transport,
+    resolve_mp_context,
 )
 from repro.engine.transport import (
     _read_result,
@@ -106,13 +106,13 @@ def resident_stragglers(timeout=5.0):
 
 class TestResolutionAndDefaults:
     def test_resident_is_the_parallel_default(self):
-        assert DEFAULT_TRANSPORT == "resident"
-        assert resolve_transport("resident") is ResidentWorkerPool
-        assert (
-            resolve_transport(ResidentWorkerPool) is ResidentWorkerPool
-        )
-        assert EngineConfig().transport_name() == "resident"
-        assert FilterEngine().config.transport_name() == "resident"
+        assert not hasattr(EngineConfig(), "transport")
+        with FilterEngine(num_workers=2) as engine:
+            engine.warm_up()
+            assert isinstance(engine._resident_pool, ResidentWorkerPool)
+        with FilterEngine() as serial:
+            serial.warm_up()  # serial engines never start a pool
+            assert serial._resident_pool is None
 
     def test_pool_rejects_nonpositive_workers(self):
         with pytest.raises(ReproError):
@@ -141,7 +141,6 @@ class TestDifferential:
             engine.close()
         assert first == want
         assert second == want
-        assert stats["resident"] is True
         assert stats["sessions"] == 2
         assert stats["respawns"] == 0
 
@@ -248,7 +247,6 @@ class TestDifferential:
         finally:
             engine.close()
         assert got.tolist() == want.tolist()
-        assert stats["resident"] is True
         assert stats["sessions"] >= 1
 
     def test_match_bits_unpicklable_predicate_falls_back(self, corpus):
@@ -445,37 +443,72 @@ class TestFaultInjection:
         engine.close()  # idempotent
         pool.close()    # idempotent at the pool layer too
         assert pool.closed
-        assert pool.stats()["resident"] is True  # stats outlive close
+        assert pool.stats()["sessions"] == 2  # stats outlive close
         assert resident_stragglers() == []
         for name in slot_names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    def test_failed_start_up_leaks_nothing(self, monkeypatch):
+        """A worker that fails to start tears down the slots already
+        created and the workers already started."""
+        created = []
+
+        class RecordingSharedMemory(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self.name)
+
+        context = resolve_mp_context(None)
+        starts = []
+
+        class FailingProcess(context.Process):
+            def start(self):
+                starts.append(self.name)
+                if len(starts) == 2:
+                    raise OSError("injected start-up failure")
+                super().start()
+
+        monkeypatch.setattr(
+            shared_memory, "SharedMemory", RecordingSharedMemory
+        )
+        monkeypatch.setattr(context, "Process", FailingProcess)
+        with pytest.raises(OSError, match="injected"):
+            ResidentWorkerPool(2, mp_context=context)
+        assert len(starts) == 2 and len(created) == 4
+        assert resident_stragglers() == []
+        for name in created:
+            assert not os.path.exists(
+                os.path.join("/dev/shm", name.lstrip("/"))
+            )
 
 
 # ---------------------------------------------------------------------------
 # the worker command loop, in-process (visible to coverage)
 # ---------------------------------------------------------------------------
 
-class TestWorkerLoopInProcess:
-    def run_worker(self, commands):
-        task_queue, result_queue = queue.Queue(), queue.Queue()
-        for command in commands:
-            task_queue.put(command)
-        task_queue.put(("stop",))
-        _resident_worker_main(0, task_queue, result_queue)
-        replies = []
-        while True:
-            try:
-                replies.append(result_queue.get_nowait())
-            except queue.Empty:
-                return replies
+def run_worker(commands):
+    """Drive one worker's command loop in-process; its replies."""
+    task_queue, result_queue = queue.Queue(), queue.Queue()
+    for command in commands:
+        task_queue.put(command)
+    task_queue.put(("stop",))
+    _resident_worker_main(0, task_queue, result_queue)
+    replies = []
+    while True:
+        try:
+            replies.append(result_queue.get_nowait())
+        except queue.Empty:
+            return replies
 
+
+class TestWorkerLoopInProcess:
     def test_configure_batch_and_sync_roundtrip(self, corpus):
         records = corpus.records[:40]
         oracle = FilterEngine(backend="scalar").match_bits(
             simple_filter(), records
         )
-        replies = self.run_worker([
+        replies = run_worker([
             ("configure", pickle.dumps(simple_filter()), "vectorized"),
             ("batch-pickled", 0, records),
             ("sync", 1),
@@ -504,7 +537,7 @@ class TestWorkerLoopInProcess:
         )
         snapshot = cache.snapshot()
         shipped = {(entry[0], entry[1]) for entry in snapshot}
-        replies = self.run_worker([
+        replies = run_worker([
             ("configure", pickle.dumps(simple_filter()), "vectorized"),
             ("delta", snapshot),
             ("batch-pickled", 0, records),
@@ -526,7 +559,7 @@ class TestWorkerLoopInProcess:
         """A failing batch answers an ``error`` result; the worker
         survives and serves the next command."""
         records = corpus.records[:4]
-        replies = self.run_worker([
+        replies = run_worker([
             ("batch-pickled", 0, records),  # no backend configured yet
             ("configure", pickle.dumps(simple_filter()), "vectorized"),
             ("batch-pickled", 1, records),
@@ -535,7 +568,7 @@ class TestWorkerLoopInProcess:
         assert replies[1][2] == "pickled"
 
     def test_unknown_command_reports_error(self):
-        replies = self.run_worker([("carrier-pigeon", 7)])
+        replies = run_worker([("carrier-pigeon", 7)])
         _, seq, kind, message = replies[0]
         assert (seq, kind) == (7, "error")
         assert "unknown resident-pool command" in message
@@ -554,7 +587,7 @@ class TestWorkerLoopInProcess:
         )
         try:
             _write_batch(shm.buf, records)
-            replies = self.run_worker([
+            replies = run_worker([
                 (
                     "configure",
                     pickle.dumps(simple_filter()),

@@ -790,7 +790,6 @@ class TestResidentGateway:
             engine = snapshot["engine"]
             workers = engine["workers"]
             assert engine["engine_workers"] == 2
-            assert workers["resident"] is True
             assert workers["num_workers"] == 2
             assert workers["sessions"] >= 1
             assert workers["respawns"] == 0

@@ -1,15 +1,21 @@
-"""Tests for the WorkerTransport layer (repro.engine.transport).
+"""Tests for the worker data path (repro.engine.transport).
 
-The acceptance bar: parallel streaming through either transport is
-bit-identical to the serial path, workers can start from a warm
-AtomCache snapshot, the multiprocessing start method is explicit, and
-per-worker counters surface through ``engine.stats()``.
+The acceptance bar: parallel streaming through the resident pool is
+bit-identical to the serial path, every batch that fits a slot returns
+through the shared-memory result ring while oversized ones fall back to
+pickle, worker-computed cache entries merge back into the parent, the
+multiprocessing start method is explicit, and the slot and result
+frame helpers round-trip.  Pool lifetime, residency and fault
+injection live in ``tests/test_resident_pool.py``.
 """
 
 import io
 import multiprocessing
+import pickle
 import random
+from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 import repro.core.composition as comp
@@ -18,12 +24,27 @@ from repro.engine import (
     AtomCache,
     EngineConfig,
     FilterEngine,
-    ForkPickleTransport,
-    SharedMemoryTransport,
+    ResidentWorkerPool,
     resolve_mp_context,
-    resolve_transport,
+)
+from repro.engine import transport as transport_module
+from repro.engine.transport import (
+    _RESULT_HEADER_BYTES,
+    _read_batch,
+    _read_result,
+    _write_batch,
+    _write_result,
+    batch_slot_bytes,
 )
 from repro.errors import ReproError
+from test_resident_pool import run_worker
+
+#: one record far larger than any slot of a 128-byte-chunk pool
+OVERSIZED_PAYLOAD = (
+    b'{"n":"temperature","v":"1.0"}\n' * 10
+    + b'{"blob":"' + b"y" * (1 << 17) + b'","n":"temp"}\n'
+    + b'{"n":"temperature","v":"1.0"}\n' * 10
+)
 
 
 def simple_filter():
@@ -51,27 +72,58 @@ def stream_all(engine, expr, payload, backend=None):
     return records, matches, last
 
 
+#: the resident pool's two batch data paths.  "shared-memory" writes
+#: each batch into a slot and reads its result back from the ring (the
+#: default); "fork-pickle" ships every batch and its result as pickled
+#: queue messages — the route a batch too big for its slot takes.
+DATA_PATHS = ["fork-pickle", "shared-memory"]
+
+
+def parallel_engine(path="shared-memory", **engine_kwargs):
+    """A 2-worker engine whose batches all take data path ``path``."""
+    engine = FilterEngine(num_workers=2, **engine_kwargs)
+    if path == "fork-pickle":
+        # no batch fits a zero-byte slot, so each rides the fallback
+        engine._ensure_resident_pool().slot_bytes = 0
+    return engine
+
+
+def assert_took_path(workers, path):
+    """Every batch went out and came back on data path ``path``."""
+    assert workers["chunks"] >= 1
+    if path == "shared-memory":
+        assert workers["ring_results"] == workers["chunks"]
+        assert workers["pickled_results"] == 0
+        assert workers["fallback_batches"] == 0
+    else:
+        assert workers["fallback_batches"] == workers["chunks"]
+        assert workers["pickled_results"] == workers["chunks"]
+        assert workers["ring_results"] == 0
+
+
+def parallel_run(payload, expr=None, path="shared-memory",
+                 **engine_kwargs):
+    """Stream through a 2-worker engine; (matches, last, worker stats)."""
+    engine = parallel_engine(path, **engine_kwargs)
+    try:
+        _, matches, last = stream_all(
+            engine, expr or simple_filter(), payload
+        )
+        return matches, last, engine.stats()["workers"]
+    finally:
+        engine.close()
+
+
+def configure(expr=None):
+    return ("configure", pickle.dumps(expr or simple_filter()),
+            "vectorized")
+
+
 # ---------------------------------------------------------------------------
 # resolution + configuration
 # ---------------------------------------------------------------------------
 
 class TestResolution:
-    def test_transport_names_resolve(self):
-        assert resolve_transport("fork-pickle") is ForkPickleTransport
-        assert (
-            resolve_transport("shared-memory") is SharedMemoryTransport
-        )
-        assert (
-            resolve_transport(SharedMemoryTransport)
-            is SharedMemoryTransport
-        )
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ReproError):
-            resolve_transport("carrier-pigeon")
-        with pytest.raises(ReproError):
-            EngineConfig(transport="carrier-pigeon")
-
     def test_mp_context_explicit_and_default(self):
         methods = multiprocessing.get_all_start_methods()
         default = resolve_mp_context(None)
@@ -92,98 +144,90 @@ class TestResolution:
             resolve_mp_context(42)
 
     def test_config_carries_transport_and_context(self):
-        config = EngineConfig(
-            num_workers=2, transport="shared-memory",
-            mp_context="spawn",
-        )
-        assert config.transport_name() == "shared-memory"
-        assert "shared-memory" in repr(config)
+        """The start method is the one worker-transport setting left."""
+        config = EngineConfig(num_workers=2, mp_context="spawn")
         assert "spawn" in repr(config)
+        assert "transport" not in repr(config)
 
 
 # ---------------------------------------------------------------------------
-# differential: parallel transports vs the serial path
+# differential: the resident pool vs the serial path
 # ---------------------------------------------------------------------------
 
 class TestTransportDifferential:
-    @pytest.mark.parametrize("transport", ["fork-pickle",
-                                           "shared-memory"])
+    @pytest.mark.parametrize("path", DATA_PATHS)
     @pytest.mark.parametrize("chunk_bytes", [256, 1024, 8192])
-    def test_bit_identical_to_serial(self, corpus, payload,
-                                     transport, chunk_bytes):
+    def test_bit_identical_to_serial(self, payload, path, chunk_bytes):
+        """Bit-identical at every chunk size on either data path, and
+        every batch's result comes back on the path it went out on."""
         expr = simple_filter()
-        serial = FilterEngine(chunk_bytes=chunk_bytes)
-        parallel = FilterEngine(
-            chunk_bytes=chunk_bytes, num_workers=2,
-            transport=transport,
-        )
         want_records, want_matches, want_last = stream_all(
-            serial, expr, payload
+            FilterEngine(chunk_bytes=chunk_bytes), expr, payload
         )
-        got_records, got_matches, got_last = stream_all(
-            parallel, expr, payload
-        )
+        engine = parallel_engine(path, chunk_bytes=chunk_bytes)
+        try:
+            got_records, got_matches, got_last = stream_all(
+                engine, expr, payload
+            )
+            workers = engine.stats()["workers"]
+        finally:
+            engine.close()
         assert got_records == want_records
         assert got_matches == want_matches
         assert got_last.records_seen == want_last.records_seen
         assert got_last.bytes_seen == want_last.bytes_seen
         assert got_last.accepted_seen == want_last.accepted_seen
+        assert_took_path(workers, path)
 
-    def test_random_expressions_shared_memory(self, corpus, payload):
+    def test_random_expressions_shared_memory(self, payload):
         rng = random.Random(5)
         from test_engine import random_expression
 
         serial = FilterEngine(chunk_bytes=700)
-        parallel = FilterEngine(
-            chunk_bytes=700, num_workers=2, transport="shared-memory"
-        )
-        for _ in range(4):
-            expr = random_expression(rng)
-            _, want, _ = stream_all(serial, expr, payload)
-            _, got, _ = stream_all(parallel, expr, payload)
-            assert got == want, expr.notation()
+        parallel = FilterEngine(chunk_bytes=700, num_workers=2)
+        try:
+            for _ in range(4):
+                expr = random_expression(rng)
+                _, want, _ = stream_all(serial, expr, payload)
+                _, got, _ = stream_all(parallel, expr, payload)
+                assert got == want, expr.notation()
+        finally:
+            parallel.close()
 
-    def test_scalar_backend_through_transports(self, corpus, payload):
+    def test_scalar_backend_through_transports(self, payload):
         expr = simple_filter()
         serial = FilterEngine(backend="scalar", chunk_bytes=512)
-        parallel = FilterEngine(
-            backend="scalar", chunk_bytes=512, num_workers=2,
-            transport="shared-memory",
-        )
         _, want, _ = stream_all(serial, expr, payload)
-        _, got, _ = stream_all(parallel, expr, payload)
+        got, _, _ = parallel_run(
+            payload, backend="scalar", chunk_bytes=512
+        )
         assert got == want
 
     def test_oversized_record_falls_back_to_pickle(self):
         """A record bigger than the shared slot rides the pickled
         fallback path — results stay identical."""
-        big = b'{"blob":"' + b"y" * (1 << 17) + b'","n":"temp"}'
-        rows = [b'{"n":"temperature","v":"1.0"}'] * 20
-        payload = b"\n".join(rows[:10]) + b"\n" + big + b"\n" + (
-            b"\n".join(rows[10:]) + b"\n"
-        )
         expr = comp.s("temperature", 1)
-        serial = FilterEngine(chunk_bytes=128)
-        parallel = FilterEngine(
-            chunk_bytes=128, num_workers=2, transport="shared-memory"
+        _, want, _ = stream_all(
+            FilterEngine(chunk_bytes=128), expr, OVERSIZED_PAYLOAD
         )
-        _, want, _ = stream_all(serial, expr, payload)
-        _, got, _ = stream_all(parallel, expr, payload)
+        got, _, workers = parallel_run(
+            OVERSIZED_PAYLOAD, expr, chunk_bytes=128
+        )
         assert got == want
-        workers = parallel.stats()["workers"]
         assert workers["fallback_batches"] >= 1
 
-    def test_spawn_context_matches_fork(self, corpus, payload):
+    def test_spawn_context_matches_fork(self, payload):
         expr = simple_filter()
-        serial = FilterEngine(chunk_bytes=4096)
-        _, want, _ = stream_all(serial, expr, payload)
-        spawned = FilterEngine(
-            chunk_bytes=4096, num_workers=2,
-            transport="shared-memory", mp_context="spawn",
+        _, want, _ = stream_all(
+            FilterEngine(chunk_bytes=2048), expr, payload
         )
-        _, got, _ = stream_all(spawned, expr, payload)
+        got, _, workers = parallel_run(
+            payload, chunk_bytes=2048, mp_context="spawn"
+        )
         assert got == want
-        assert spawned.stats()["workers"]["mp_context"] == "spawn"
+        assert workers["mp_context"] == "spawn"
+        assert workers["ring_results"] == workers["chunks"]
+        assert workers["pickled_results"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -191,40 +235,35 @@ class TestTransportDifferential:
 # ---------------------------------------------------------------------------
 
 class TestWarmWorkers:
-    def test_workers_start_from_cache_snapshot(self, corpus, payload):
+    def test_workers_start_from_cache_snapshot(self, payload):
         """After a serial warm pass, every parallel chunk is served
-        from the workers' snapshot — zero worker misses."""
+        from the entries the session shipped — zero worker misses."""
         expr = simple_filter()
         cache = AtomCache()
         warm = FilterEngine(chunk_bytes=1024, cache=cache)
         _, want, _ = stream_all(warm, expr, payload)
-        parallel = FilterEngine(
-            chunk_bytes=1024, num_workers=2,
-            transport="shared-memory", cache=cache,
+        got, _, workers = parallel_run(
+            payload, chunk_bytes=1024, cache=cache
         )
-        _, got, _ = stream_all(parallel, expr, payload)
         assert got == want
-        workers = parallel.stats()["workers"]
         assert workers["cache_hits"] > 0
         assert workers["cache_misses"] == 0
 
-    def test_cold_workers_report_misses(self, corpus, payload):
-        engine = FilterEngine(
-            chunk_bytes=1024, num_workers=2,
-            transport="fork-pickle", cache=True,
+    def test_cold_workers_report_misses(self, payload):
+        _, _, workers = parallel_run(
+            payload, chunk_bytes=1024, cache=True
         )
-        stream_all(engine, simple_filter(), payload)
-        workers = engine.stats()["workers"]
         assert workers["cache_misses"] > 0
         assert workers["cache_hits"] == 0
 
-    def test_stats_expose_per_worker_counters(self, corpus, payload):
-        engine = FilterEngine(
-            chunk_bytes=512, num_workers=2, transport="shared-memory"
-        )
-        _, _, last = stream_all(engine, simple_filter(), payload)
-        stats = engine.stats()
-        assert stats["transport"] == "shared-memory"
+    def test_stats_expose_per_worker_counters(self, payload):
+        engine = FilterEngine(chunk_bytes=512, num_workers=2)
+        try:
+            _, _, last = stream_all(engine, simple_filter(), payload)
+            stats = engine.stats()
+        finally:
+            engine.close()
+        assert "transport" not in stats
         workers = stats["workers"]
         assert workers["records"] == last.records_seen
         assert workers["chunks"] >= 1
@@ -251,68 +290,51 @@ class TestWarmWorkers:
 
 class TestResultRing:
     @pytest.mark.parametrize("chunk_bytes", [256, 1024, 8192])
-    def test_ring_differential_vs_fork_pickle(self, corpus, payload,
+    def test_ring_differential_vs_fork_pickle(self, payload,
                                               chunk_bytes):
         """Shared-memory ring results are bit-identical to pickled
-        returns at every chunk size, and every fitting batch's result
-        comes back through the ring, not the pipe."""
+        returns at every chunk size, and each engine's batches all
+        took their own path."""
         expr = simple_filter()
-        pickled = FilterEngine(
-            chunk_bytes=chunk_bytes, num_workers=2,
-            transport="fork-pickle",
-        )
-        ring = FilterEngine(
-            chunk_bytes=chunk_bytes, num_workers=2,
-            transport="shared-memory",
-        )
-        want_records, want_matches, want_last = stream_all(
-            pickled, expr, payload
-        )
-        got_records, got_matches, got_last = stream_all(
-            ring, expr, payload
-        )
+        pickled = parallel_engine("fork-pickle", chunk_bytes=chunk_bytes)
+        ring = parallel_engine("shared-memory", chunk_bytes=chunk_bytes)
+        try:
+            want_records, want_matches, want_last = stream_all(
+                pickled, expr, payload
+            )
+            got_records, got_matches, got_last = stream_all(
+                ring, expr, payload
+            )
+            baseline = pickled.stats()["workers"]
+            workers = ring.stats()["workers"]
+        finally:
+            pickled.close()
+            ring.close()
         assert got_records == want_records
         assert got_matches == want_matches
         assert got_last.accepted_seen == want_last.accepted_seen
-        workers = ring.stats()["workers"]
-        assert workers["ring_results"] == workers["chunks"]
-        assert workers["pickled_results"] == 0
-        assert workers["fallback_batches"] == 0
-        baseline = pickled.stats()["workers"]
-        assert baseline["pickled_results"] == baseline["chunks"]
+        assert_took_path(workers, "shared-memory")
+        assert_took_path(baseline, "fork-pickle")
 
-    @pytest.mark.parametrize("transport", ["fork-pickle",
-                                           "shared-memory"])
-    def test_ring_differential_under_spawn(self, corpus, payload,
-                                           transport):
+    @pytest.mark.parametrize("path", DATA_PATHS)
+    def test_ring_differential_under_spawn(self, payload, path):
         expr = simple_filter()
-        serial = FilterEngine(chunk_bytes=2048)
-        _, want, _ = stream_all(serial, expr, payload)
-        engine = FilterEngine(
-            chunk_bytes=2048, num_workers=2, transport=transport,
-            mp_context="spawn",
+        _, want, _ = stream_all(
+            FilterEngine(chunk_bytes=2048), expr, payload
         )
-        _, got, _ = stream_all(engine, expr, payload)
+        got, _, workers = parallel_run(
+            payload, path=path, chunk_bytes=2048, mp_context="spawn"
+        )
         assert got == want
-        workers = engine.stats()["workers"]
         assert workers["mp_context"] == "spawn"
-        if transport == "shared-memory":
-            assert workers["ring_results"] == workers["chunks"]
-            assert workers["pickled_results"] == 0
+        assert_took_path(workers, path)
 
     def test_fallback_batches_return_pickled(self):
         """A batch that rode the pickled request fallback also returns
         its result through the pipe — and is counted as such."""
-        big = b'{"blob":"' + b"y" * (1 << 17) + b'","n":"temp"}'
-        rows = [b'{"n":"temperature","v":"1.0"}'] * 20
-        payload = b"\n".join(rows[:10]) + b"\n" + big + b"\n" + (
-            b"\n".join(rows[10:]) + b"\n"
+        _, _, workers = parallel_run(
+            OVERSIZED_PAYLOAD, comp.s("temperature", 1), chunk_bytes=128
         )
-        engine = FilterEngine(
-            chunk_bytes=128, num_workers=2, transport="shared-memory"
-        )
-        stream_all(engine, comp.s("temperature", 1), payload)
-        workers = engine.stats()["workers"]
         assert workers["fallback_batches"] >= 1
         assert workers["pickled_results"] >= workers["fallback_batches"]
         assert workers["ring_results"] + workers["pickled_results"] == (
@@ -325,21 +347,17 @@ class TestResultRing:
 # ---------------------------------------------------------------------------
 
 class TestMergeBack:
-    @pytest.mark.parametrize("transport", ["fork-pickle",
-                                           "shared-memory"])
-    def test_parallel_pass_warms_serial_repass(self, corpus, payload,
-                                               transport):
-        """The acceptance bar: a *cold parallel* first pass leaves the
-        parent cache warm enough that a second serial pass over the
+    @pytest.mark.parametrize("path", DATA_PATHS)
+    def test_parallel_pass_warms_serial_repass(self, payload, path):
+        """A *cold parallel* first pass, on either data path, leaves
+        the parent cache warm enough that a second serial pass over the
         same corpus is served entirely from merged worker entries."""
         expr = simple_filter()
         cache = AtomCache()
-        parallel = FilterEngine(
-            chunk_bytes=1024, num_workers=2, transport=transport,
-            cache=cache,
+        want, _, workers = parallel_run(
+            payload, path=path, chunk_bytes=1024, cache=cache
         )
-        _, want, _ = stream_all(parallel, expr, payload)
-        workers = parallel.stats()["workers"]
+        assert_took_path(workers, path)
         assert workers["merged_entries"] > 0
         assert workers["delta_entries"] >= workers["merged_entries"]
         assert len(cache) == workers["merged_entries"]
@@ -351,128 +369,114 @@ class TestMergeBack:
         assert cache.hits > hits_before
         assert cache.misses == misses_before
 
-    def test_warm_workers_ship_no_deltas(self, corpus, payload):
+    def test_warm_workers_ship_no_deltas(self, payload):
         """Fully warm workers compute nothing new — so nothing rides
         back and the merge is a no-op."""
-        expr = simple_filter()
         cache = AtomCache()
         warm = FilterEngine(chunk_bytes=1024, cache=cache)
-        stream_all(warm, expr, payload)
-        parallel = FilterEngine(
-            chunk_bytes=1024, num_workers=2,
-            transport="shared-memory", cache=cache,
+        stream_all(warm, simple_filter(), payload)
+        _, _, workers = parallel_run(
+            payload, chunk_bytes=1024, cache=cache
         )
-        stream_all(parallel, expr, payload)
-        workers = parallel.stats()["workers"]
         assert workers["cache_misses"] == 0
         assert workers["delta_entries"] == 0
         assert workers["merged_entries"] == 0
 
-    def test_deltas_merge_incrementally_not_buffered(self, corpus,
-                                                     payload):
+    def test_deltas_merge_incrementally_not_buffered(self, payload):
         """Deltas fold into the parent cache as results drain — the
         resident footprint is capped by the cache's own bounds, not by
         stream length (bounded-memory streaming holds for parallel
         cached runs)."""
-        expr = simple_filter()
         cache = AtomCache()
         engine = FilterEngine(
-            chunk_bytes=256, num_workers=2,
-            transport="shared-memory", cache=cache,
+            chunk_bytes=256, num_workers=2, cache=cache
         )
         mid_stream_entries = 0
-        for batch in engine.stream_file(expr, io.BytesIO(payload)):
-            if batch.index == 10:
-                mid_stream_entries = len(cache)
+        try:
+            for batch in engine.stream_file(
+                simple_filter(), io.BytesIO(payload)
+            ):
+                if batch.index == 10:
+                    mid_stream_entries = len(cache)
+        finally:
+            engine.close()
         assert mid_stream_entries > 0, (
             "no entries merged before stream end"
         )
 
-    def test_merge_after_abandoned_stream(self, corpus, payload):
+    def test_merge_after_abandoned_stream(self, payload):
         """Closing a half-consumed parallel stream generator still
-        merges the drained batches' deltas (engine finally -> close)."""
-        expr = simple_filter()
+        merges the in-flight batches' deltas (session close drains)."""
         cache = AtomCache()
         engine = FilterEngine(
-            chunk_bytes=512, num_workers=2,
-            transport="shared-memory", cache=cache,
+            chunk_bytes=512, num_workers=2, cache=cache
         )
-        stream = engine.stream_file(expr, io.BytesIO(payload))
-        for _ in range(3):
-            next(stream)
-        stream.close()
-        workers = engine.stats()["workers"]
+        try:
+            stream = engine.stream_file(
+                simple_filter(), io.BytesIO(payload)
+            )
+            for _ in range(3):
+                next(stream)
+            stream.close()
+            workers = engine.stats()["workers"]
+        finally:
+            engine.close()
         assert workers["merged_entries"] > 0
         assert len(cache) == workers["merged_entries"]
 
     def test_merge_skips_entries_the_parent_already_has(self):
         """Deltas whose key landed in the parent cache in the meantime
         are skipped, preserving the parent's entry and recency."""
-        import pickle as pickle_module
-
-        import numpy as np
-
         cache = AtomCache()
         fingerprint = (3, b"digest")
         kept = cache.put(fingerprint, "atom-a", np.array([1, 0, 1]))
-        transport = ForkPickleTransport(
-            num_workers=1,
-            payload=pickle_module.dumps(simple_filter()),
-            atom_cache=cache,
-        )
-        try:
-            # the per-result merge step drain() runs on each delta
-            transport._merge_entries([
+        with ResidentWorkerPool(1, atom_cache=cache) as pool:
+            # the per-result merge step every drained result runs
+            pool._merge_delta([
                 (fingerprint, "atom-a", np.array([1, 0, 1])),
                 (fingerprint, "atom-b", np.array([0, 1, 0])),
             ])
-        finally:
-            transport.close()
-        assert transport.merged_entries == 1
-        assert transport.merge_skipped == 1
+        assert pool.merged_entries == 1
+        assert pool.merge_skipped == 1
         assert cache.lookup(fingerprint, "atom-a") is kept
-        assert transport.stats()["merged_entries"] == 1
+        assert pool.stats()["merged_entries"] == 1
 
 
 # ---------------------------------------------------------------------------
-# transport session protocol
+# session protocol
 # ---------------------------------------------------------------------------
 
 class TestSessionProtocol:
     def test_drain_without_submit_rejected(self):
-        import pickle
-
-        transport = ForkPickleTransport(
-            num_workers=1, payload=pickle.dumps(simple_filter())
-        )
-        try:
-            with pytest.raises(ReproError):
-                transport.drain()
-        finally:
-            transport.close()
+        with ResidentWorkerPool(1) as pool:
+            session = pool.session(
+                pickle.dumps(simple_filter()), "vectorized"
+            )
+            with pytest.raises(ReproError, match="no batch in flight"):
+                session.drain()
+            session.close()
 
     def test_context_manager_closes_slots(self):
-        import pickle
-
-        with SharedMemoryTransport(
-            num_workers=1, payload=pickle.dumps(comp.s("temperature", 1)),
-            chunk_bytes=1024,
-        ) as transport:
-            transport.submit([b'{"n":"temperature"}'])
-            matches, count = transport.drain()
+        with ResidentWorkerPool(1, chunk_bytes=1024) as pool:
+            with pool.session(
+                pickle.dumps(comp.s("temperature", 1)), "vectorized"
+            ) as session:
+                session.submit([b'{"n":"temperature"}'])
+                matches, count = session.drain()
             assert count == 1
             assert matches.tolist() == [True]
-            names = [slot.shm.name for slot in transport._slots]
+            names = pool.slot_names()
         # after close, the slots must be unlinked
-        from multiprocessing import shared_memory
-
+        assert names
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ReproError):
-            ForkPickleTransport(num_workers=0, payload=b"")
+            ResidentWorkerPool(num_workers=0)
+        with pytest.raises(ReproError):
+            EngineConfig(num_workers=0)
 
 
 class TestWorkerFunctions:
@@ -484,25 +488,7 @@ class TestWorkerFunctions:
     verified.
     """
 
-    def _init_worker(self, expr, backend="vectorized", snapshot=None):
-        import pickle
-
-        from repro.engine import transport as transport_module
-
-        transport_module._worker_init(
-            pickle.dumps(expr), backend, snapshot
-        )
-        return transport_module
-
     def test_slot_roundtrip_preserves_records_and_stream(self, corpus):
-        from multiprocessing import shared_memory
-
-        from repro.engine.transport import (
-            _read_batch,
-            _write_batch,
-            batch_slot_bytes,
-        )
-
         records = corpus.records[:40]
         shm = shared_memory.SharedMemory(
             create=True, size=batch_slot_bytes(records)
@@ -523,97 +509,87 @@ class TestWorkerFunctions:
             shm.unlink()
 
     def test_worker_init_resolves_expression_and_counts(self):
-        transport_module = self._init_worker(simple_filter())
-        packed, count, stats, delta = transport_module._task_pickled(
-            [b'{"e":[{"v":"30.0","n":"temperature"}]}',
-             b'{"e":[{"v":"99.0","n":"temperature"}]}']
-        )
-        import numpy as np
-
-        assert count == 2
+        """``configure`` is a worker's per-filter init: the predicate
+        is lowered once, and each batch bumps the cumulative counters
+        and ships its newly computed cache entries back."""
+        replies = run_worker([
+            configure(),
+            ("batch-pickled", 0,
+             [b'{"e":[{"v":"30.0","n":"temperature"}]}',
+              b'{"e":[{"v":"99.0","n":"temperature"}]}']),
+        ])
+        _, seq, kind, (packed, count, stats, delta) = replies[0]
+        assert (seq, kind, count) == (0, "pickled", 2)
         assert np.unpackbits(packed, count=2).tolist() == [1, 0]
-        pid, chunks, records, hits, misses = stats
+        _pid, chunks, records, hits, misses = stats
         assert chunks == 1 and records == 2
-        assert hits == 0 and misses == 0  # no cache configured
-        assert delta == []  # no cache, nothing to merge back
+        assert hits == 0 and misses > 0  # a fresh worker cache
+        assert delta  # the new masks ride back for merge-back
+        predicate = transport_module._WORKER["predicate"]
+        assert predicate.notation() == simple_filter().notation()
 
-    def test_worker_cache_snapshot_serves_hits(self, corpus, payload):
-        """A worker initialised from a warm snapshot serves the same
+    def test_worker_cache_snapshot_serves_hits(self, payload):
+        """A worker preloaded with the parent's entries serves the same
         chunk content without re-evaluating."""
         expr = simple_filter()
         cache = AtomCache()
         warm = FilterEngine(chunk_bytes=1024, cache=cache)
         _, want, _ = stream_all(warm, expr, payload)
-        transport_module = self._init_worker(
-            expr, snapshot=cache.snapshot()
+        batches = [
+            batch.records
+            for batch in FilterEngine(chunk_bytes=1024).stream_file(
+                expr, io.BytesIO(payload)
+            )
+        ]
+        replies = run_worker(
+            [configure(expr), ("delta", cache.snapshot())]
+            + [("batch-pickled", seq, records)
+               for seq, records in enumerate(batches)]
         )
-        framer_engine = FilterEngine(chunk_bytes=1024)
-        got = []
-        deltas = []
-        for batch in framer_engine.stream_file(
-            expr, io.BytesIO(payload)
-        ):
-            packed, count, stats, delta = (
-                transport_module._task_pickled(batch.records)
-            )
+        got, deltas = [], []
+        for _, _, kind, (packed, count, stats, delta) in replies:
+            assert kind == "pickled"
+            got.extend(np.unpackbits(packed, count=count).tolist())
             deltas.extend(delta)
-            import numpy as np
-
-            got.extend(
-                np.unpackbits(packed, count=count).astype(bool).tolist()
-            )
-        assert got == want
-        worker_cache = transport_module._WORKER["cache"]
-        assert worker_cache.hits > 0
-        assert worker_cache.misses == 0
+        assert [bool(bit) for bit in got] == want
+        _pid, _chunks, _records, hits, misses = stats
+        assert hits > 0
+        assert misses == 0
         assert deltas == []  # fully warm: nothing newly computed
 
     def test_shared_task_equals_pickled_task(self, corpus):
-        from multiprocessing import shared_memory
-
-        from repro.engine.transport import (
-            _read_result,
-            _write_batch,
-            batch_slot_bytes,
-        )
-
+        """The same batch through a slot (ring reply) and pickled gives
+        the same bits; the slot attachment is memoised per name."""
         records = corpus.records[:25]
-        transport_module = self._init_worker(simple_filter())
-        want = transport_module._task_pickled(records)[0].tolist()
         shm = shared_memory.SharedMemory(
-            create=True, size=batch_slot_bytes(records)
+            create=True, size=2 * batch_slot_bytes(records)
         )
         try:
             _write_batch(shm.buf, records)
-            # the result frame fits the slot, so the task leaves it
-            # there and returns only the ring sentinel
-            assert transport_module._task_shared(shm.name) is None
-            got, count, stats, delta = _read_result(shm.buf)
+            replies = run_worker([
+                configure(),
+                ("batch-pickled", 0, records),
+                ("batch", 1, shm.name),
+            ])
+            want = replies[0][3][0].tolist()
+            assert replies[1][1:3] == (1, "ring")
+            got, count, stats, _delta = _read_result(shm.buf)
             assert count == len(records)
             assert got.tolist() == want
-            assert delta == []
-            pid, chunks, seen_records, hits, misses = stats
-            # counters are cumulative: the pickled warm-up task above
-            # already evaluated the same batch once
+            _pid, chunks, seen_records, _hits, _misses = stats
+            # counters are cumulative across both evaluations
             assert chunks == 2
             assert seen_records == 2 * len(records)
-            # the attachment is memoised per slot name
             assert shm.name.lstrip("/") in {
                 name.lstrip("/")
                 for name in transport_module._WORKER["shm"]
             }
         finally:
-            for attached in transport_module._WORKER["shm"].values():
-                attached.close()
             transport_module._WORKER["shm"].clear()
             shm.close()
             shm.unlink()
 
     def test_result_frame_roundtrip_with_delta(self):
-        import numpy as np
-
-        from repro.engine.transport import _read_result, _write_result
-
         packed = np.packbits(np.array([1, 0, 1, 1], dtype=bool))
         delta = [((4, b"fp"), ("atom", 1), np.array([1, 0, 1, 1]))]
         stats = (4242, 3, 12, 5, 7)
@@ -632,46 +608,29 @@ class TestWorkerFunctions:
     def test_result_frame_overflow_is_rejected(self):
         """A frame that cannot fit reports False so the caller falls
         back to the pickled pipe — the slot stays untouched."""
-        import numpy as np
-
-        from repro.engine.transport import (
-            _RESULT_HEADER_BYTES,
-            _write_result,
-        )
-
         packed = np.packbits(np.ones(1024, dtype=bool))
         buf = memoryview(bytearray(_RESULT_HEADER_BYTES + 8))
         before = bytes(buf)
         assert not _write_result(buf, packed, 1024, (1, 1, 1, 0, 0), [])
         assert bytes(buf) == before
 
-    def test_oversized_delta_result_returns_pickled(self, corpus):
-        """Through the real task function: a result frame bigger than
-        its slot (here: a slot barely larger than the request) comes
-        back as the pickled tuple instead of the ring sentinel."""
-        from multiprocessing import shared_memory
-
-        from repro.engine.transport import _write_batch, batch_slot_bytes
-
+    def test_oversized_delta_result_returns_pickled(self):
+        """A result frame bigger than its slot (here: a slot exactly
+        the size of the request) comes back pickled instead of as a
+        ring reply."""
         records = [b'{"n":"temperature","v":"1.0"}'] * 3
-        # warm-capable worker: an empty snapshot still builds a cache,
-        # so newly computed masks ride the (large) delta
-        transport_module = self._init_worker(
-            simple_filter(), snapshot=[]
-        )
         shm = shared_memory.SharedMemory(
             create=True, size=batch_slot_bytes(records)
         )
         try:
             _write_batch(shm.buf, records)
-            result = transport_module._task_shared(shm.name)
-            assert result is not None  # fell back to the pickled pipe
-            packed, count, stats, delta = result
+            replies = run_worker([configure(), ("batch", 0, shm.name)])
+            _, seq, kind, result = replies[0]
+            assert (seq, kind) == (0, "pickled")
+            _packed, count, _stats, delta = result
             assert count == len(records)
             assert len(delta) > 0
         finally:
-            for attached in transport_module._WORKER["shm"].values():
-                attached.close()
             transport_module._WORKER["shm"].clear()
             shm.close()
             shm.unlink()
