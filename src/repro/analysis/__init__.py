@@ -5,9 +5,9 @@ wired into the engine itself):
 
 * :mod:`~repro.analysis.kernel_verify` — proves every generated fused
   kernel stays inside the kernel ABI whitelist and that its evaluation
-  plan is boolean-equivalent to the filter expression
-  (``EngineConfig(verify_kernels=...)`` turns this on per engine; it
-  defaults on under pytest and in ``repro serve``);
+  plan is boolean-equivalent to the filter expression (every
+  :class:`~repro.engine.compiled.CompiledKernel` runs it before its
+  source is executed);
 * :mod:`~repro.analysis.lockcheck` — ``# guarded-by:``-annotation-
   driven lock-discipline checking over the codebase's shared state;
 * :mod:`~repro.analysis.lifecycle` — resource-lifecycle rules
@@ -24,10 +24,8 @@ from .findings import (
     save_baseline,
 )
 from .kernel_verify import (
-    clear_verified,
     plan_violations,
     source_violations,
-    verified_count,
     verify_kernel,
     verify_kernel_source,
     verify_plan,
@@ -45,7 +43,6 @@ __all__ = [
     "DEFAULT_BASELINE_NAME",
     "Finding",
     "KernelVerificationError",
-    "clear_verified",
     "default_lint_root",
     "filter_baselined",
     "iter_python_files",
@@ -55,7 +52,6 @@ __all__ = [
     "run_lint",
     "save_baseline",
     "source_violations",
-    "verified_count",
     "verify_kernel",
     "verify_kernel_source",
     "verify_plan",

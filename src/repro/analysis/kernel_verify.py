@@ -14,8 +14,9 @@ wrong with that, and both would corrupt results silently at scale:
   boolean-equivalent to the filter expression it claims to implement —
   a miscompile that returns plausible-but-wrong bits.
 
-This module proves both properties per kernel, memoised by filter
-fingerprint so the warm path pays one set lookup:
+This module proves both properties for every kernel, between codegen
+and ``compile()``/``exec``, so generated source is checked before any
+of it runs:
 
 1. :func:`verify_kernel_source` parses the generated source into an
    AST and checks it against a strict **whitelist**: allowed node
@@ -36,9 +37,11 @@ fingerprint so the warm path pays one set lookup:
    soundness must not depend on the exact steps running first.
 
 Failures raise the typed
-:class:`~repro.errors.KernelVerificationError` at codegen/registration
-time, wired in behind ``EngineConfig(verify_kernels=...)`` (on by
-default under pytest and in ``repro serve``).
+:class:`~repro.errors.KernelVerificationError` from the
+:class:`~repro.engine.compiled.CompiledKernel` constructor, in every
+process and with no switch to turn it off.  The compiled-kernel
+registry is keyed by filter fingerprint, so each filter is verified
+once per process.
 """
 
 from __future__ import annotations
@@ -47,9 +50,8 @@ import ast
 import itertools
 import random
 import re
-import threading
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, Protocol
+from typing import Any, Iterator, Protocol
 
 from ..core import composition as comp
 from ..errors import KernelVerificationError
@@ -58,9 +60,6 @@ from ..errors import KernelVerificationError
 MAX_EXHAUSTIVE_VARIABLES = 14
 #: deterministic assignment sample size for very wide expressions
 SAMPLED_ASSIGNMENTS = 2048
-#: verified-fingerprint memo bound (mirrors the kernel registry LRU —
-#: design-space sweeps verify many one-shot candidate filters)
-VERIFIED_CACHE_SIZE = 4096
 
 
 class _PlanLike(Protocol):
@@ -388,53 +387,12 @@ def verify_plan(plan: _PlanLike) -> None:
 
 
 # ---------------------------------------------------------------------------
-# memoised kernel verification (the codegen-time hook)
+# kernel verification (the codegen-time hook)
 # ---------------------------------------------------------------------------
 
-_VERIFIED: OrderedDict[Any, bool] = OrderedDict()  # guarded-by: _VERIFIED_LOCK
-_VERIFIED_LOCK = threading.Lock()
-
-
-def verify_kernel(kernel: _KernelLike) -> bool:
-    """Verify one compiled kernel (source whitelist + plan equivalence).
-
-    Returns ``True`` when verification actually ran and ``False`` on a
-    fingerprint-memo hit — the warm path (every batch after a filter's
-    first) costs one lock + dict lookup, which is what keeps
-    ``verify_kernels=True`` measurable-regression-free.
-    """
-    key = kernel.expr.cache_key()
-    with _VERIFIED_LOCK:
-        if key in _VERIFIED:
-            _VERIFIED.move_to_end(key)
-            return False
+def verify_kernel(kernel: _KernelLike) -> None:
+    """Verify one generated kernel (source whitelist + plan
+    equivalence); called by the ``CompiledKernel`` constructor before
+    its source is compiled."""
     verify_kernel_source(kernel.source, kernel.expr.notation())
     verify_plan(kernel.plan)
-    with _VERIFIED_LOCK:
-        _VERIFIED[key] = True
-        while len(_VERIFIED) > VERIFIED_CACHE_SIZE:
-            _VERIFIED.popitem(last=False)
-    return True
-
-
-def verified_count() -> int:
-    with _VERIFIED_LOCK:
-        return len(_VERIFIED)
-
-
-def clear_verified() -> None:
-    """Drop the verified-fingerprint memo (tests)."""
-    with _VERIFIED_LOCK:
-        _VERIFIED.clear()
-
-
-def iter_verify(kernels: Iterable[_KernelLike]) -> Iterator[str]:
-    """Yield a failure message per kernel that fails verification."""
-    for kernel in kernels:
-        try:
-            verify_kernel_source(
-                kernel.source, kernel.expr.notation()
-            )
-            verify_plan(kernel.plan)
-        except KernelVerificationError as err:
-            yield str(err)

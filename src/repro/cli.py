@@ -220,39 +220,29 @@ def cmd_synth(args):
     return 0
 
 
-def _load_cache(args):
-    """The engine cache implied by --cache-file (warm when it exists)."""
-    max_bytes = getattr(args, "cache_max_bytes", None)
-    bound = {} if max_bytes is None else {"max_bytes": max_bytes}
-    path = getattr(args, "cache_file", None)
-    if path:
-        if os.path.exists(path):
-            return AtomCache.from_file(path, **bound)
-        return AtomCache(**bound)
-    if max_bytes is not None or getattr(args, "cache_store", None):
-        # a byte cap or a disk tier needs an in-memory cache to act
-        # on; the engine attaches the store itself
-        # (EngineConfig.cache_store)
-        return AtomCache(**bound)
-    return getattr(args, "cache", False) or None
-
-
-def _save_cache(args, engine):
-    path = getattr(args, "cache_file", None)
-    if path and engine.atom_cache is not None:
-        engine.atom_cache.save(path)
-        print(f"atom cache spilled to {path}", file=sys.stderr)
-
-
 def _engine_from_args(args):
+    # a byte cap needs an in-memory cache to act on; a disk tier
+    # implies one (the engine attaches EngineConfig.cache_store itself)
+    if args.cache_max_bytes is not None:
+        cache = AtomCache(max_bytes=args.cache_max_bytes)
+    else:
+        cache = args.cache or None
     return FilterEngine(
-        backend=getattr(args, "backend", "vectorized"),
+        backend=getattr(args, "backend", "compiled"),
         chunk_bytes=args.chunk_bytes,
         num_workers=args.workers,
         mp_context=args.mp_context,
-        cache=_load_cache(args),
-        cache_store=getattr(args, "cache_store", None),
+        cache=cache,
+        cache_store=args.cache_store,
     )
+
+
+def _persist_cache(cache):
+    """Write the live cache entries to its --cache-store tier."""
+    written = cache.persist() if cache is not None else 0
+    if written:
+        print(f"atom cache: {written} entries persisted to "
+              f"{cache.store.path}", file=sys.stderr)
 
 
 def _peak_rss_bytes():
@@ -365,7 +355,7 @@ def cmd_filter(args):
         file=sys.stderr,
     )
     _print_worker_stats(engine)
-    _save_cache(args, engine)
+    _persist_cache(engine.atom_cache)
     return 0
 
 
@@ -575,7 +565,7 @@ def cmd_bench(args):
     for line in merge_lines:
         print(line, file=sys.stderr)
     _print_worker_stats(engine)
-    _save_cache(args, engine)
+    _persist_cache(engine.atom_cache)
     cache_stats = engine.stats()["cache"]
     if cache_stats is not None:
         print(
@@ -666,10 +656,8 @@ def cmd_serve(args):
             print(render_status(snapshot))
         return 0
 
-    if args.cache_file and os.path.exists(args.cache_file):
+    if args.cache_max_bytes is not None:
         # byte-bounded only, matching EnginePool's service default
-        cache = AtomCache.from_file(args.cache_file, max_entries=None)
-    elif args.cache_max_bytes is not None:
         cache = AtomCache(
             max_entries=None, max_bytes=args.cache_max_bytes
         )
@@ -711,10 +699,7 @@ def cmd_serve(args):
         asyncio.run(run())
     except KeyboardInterrupt:
         print("gateway interrupted, drained", file=sys.stderr)
-    if args.cache_file:
-        gateway.pool.cache.save(args.cache_file)
-        print(f"atom cache spilled to {args.cache_file}",
-              file=sys.stderr)
+    _persist_cache(gateway.pool.cache)
     return 0
 
 
@@ -854,7 +839,7 @@ def build_arg_parser():
         help="attach an AtomCache to the engine (repeated chunk "
              "content is served from memory; workers start warm)",
     )
-    _add_cache_file_argument(filter_cmd)
+    _add_cache_arguments(filter_cmd)
     _add_engine_arguments(filter_cmd)
     filter_cmd.set_defaults(func=cmd_filter)
 
@@ -895,7 +880,7 @@ def build_arg_parser():
              "(records/s, bytes/s, per-pass cache deltas, worker "
              "counters) to PATH",
     )
-    _add_cache_file_argument(bench)
+    _add_cache_arguments(bench)
     _add_engine_arguments(bench, with_backend=False)
     bench.set_defaults(func=cmd_bench)
 
@@ -944,7 +929,7 @@ def build_arg_parser():
         "--json", dest="json_status", action="store_true",
         help="with --status: print the raw JSON snapshot",
     )
-    _add_cache_file_argument(serve)
+    _add_cache_arguments(serve)
     serve.set_defaults(func=cmd_serve)
 
     submit = sub.add_parser(
@@ -1001,21 +986,15 @@ def build_arg_parser():
     return parser
 
 
-def _add_cache_file_argument(parser):
-    parser.add_argument(
-        "--cache-file", default=None,
-        help="spill/reload the AtomCache at this path so repeated "
-             "invocations over the same corpus start warm (implies "
-             "--cache; the spill is a pickle — use trusted, "
-             "user-owned paths only)",
-    )
+def _add_cache_arguments(parser):
     parser.add_argument(
         "--cache-store", default=None, metavar="DIR",
         help="persistent disk tier under the AtomCache (implies "
              "--cache): LRU-evicted entries demote to an append-"
              "mostly log in DIR instead of vanishing, misses promote "
-             "them back in fingerprint batches — corpora far larger "
-             "than the cache cap stream warm, and restarts serve "
+             "them back in fingerprint batches, and the live entries "
+             "are written there on exit — corpora far larger than "
+             "the cache cap stream warm, and later invocations start "
              "warm without loading the whole cache into RAM "
              "(pickle-based; use trusted, user-owned directories "
              "only)",
@@ -1031,8 +1010,8 @@ def _add_cache_file_argument(parser):
 def _add_engine_arguments(parser, with_backend=True):
     if with_backend:
         parser.add_argument(
-            "--backend", default="vectorized",
-            choices=["compiled", "vectorized", "scalar", "auto"],
+            "--backend", default="compiled",
+            choices=["compiled", "vectorized", "scalar"],
             help="engine evaluation backend",
         )
     parser.add_argument(

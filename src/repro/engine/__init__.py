@@ -5,13 +5,13 @@ Every consumer in the repo — the Fig. 4 SoC simulation, the CLI's
 harness — obtains per-record match bits from one
 :class:`FilterEngine`, with pluggable backends:
 
-* ``compiled`` — fused-kernel evaluation
-  (:mod:`repro.engine.compiled`): one generated function per filter,
-  single selectivity-ordered pass with short-circuiting, the serial
-  hot path (and the :class:`repro.serve` gateway default);
+* ``compiled`` — the default: fused-kernel evaluation
+  (:mod:`repro.engine.compiled`), one generated and verified function
+  per filter, a single selectivity-ordered pass with short-circuiting;
 * ``vectorized`` — dataset-scale numpy evaluation
-  (:mod:`repro.eval.harness`), one sweep per atom, the design-space
-  exploration path;
+  (:mod:`repro.eval.harness`), one sweep per atom: the compiled
+  backend's fallback, the differential reference, and the shape
+  design-space sweeps use (:func:`default_engine`);
 * ``scalar`` — per-record behavioural evaluation
   (:func:`repro.core.composition.evaluate_record`), the reference
   oracle the other paths are cross-checked against.
@@ -48,7 +48,9 @@ cache: LRU-evicted entries demote to an append-mostly on-disk log
 instead of vanishing, and misses promote them back in fingerprint
 batches — so corpora far larger than the cache's byte cap stream warm,
 and a restarted process serves the previous run's entries without
-loading the whole cache into RAM.
+loading the whole cache into RAM.  :meth:`AtomCache.persist` writes the
+live entries to that log as well, so a run that evicted nothing still
+leaves the next process warm.
 """
 
 from .atom_cache import AtomCache, as_atom_cache, dataset_fingerprint

@@ -32,13 +32,12 @@ DesignSpace` phase-1 evaluation through it.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import threading
 from collections import OrderedDict
 
 import numpy as np
 
-from ..errors import CachePersistenceError, ReproError
+from ..errors import ReproError
 from ..eval.harness import DatasetView, evaluate_atom
 from ..eval.harness import evaluate_atoms as harness_evaluate_atoms
 
@@ -182,6 +181,23 @@ class AtomCache:
                 requested = array
         return requested
 
+    def persist(self):
+        """Write every live entry to the attached disk tier.
+
+        The store otherwise only receives LRU-evicted entries; calling
+        this before a process exits lets the next process over the same
+        store directory start warm even when nothing was evicted.
+        Already-stored keys are skipped.  Returns the number of entries
+        written (0 without a store).
+        """
+        with self._lock:
+            if self.store is None:
+                return 0
+            return sum(
+                self.store.put(fingerprint, key, array)
+                for (fingerprint, key), array in self._entries.items()
+            )
+
     # -- raw entry access ---------------------------------------------------
 
     def lookup(self, fingerprint, key):
@@ -300,35 +316,23 @@ class AtomCache:
         bits = evaluate_atom(view, expr, self.evaluation_cache(dataset))
         return np.array(bits, dtype=bool)
 
-    # -- snapshots (worker warm-up, cross-process persistence) --------------
+    # -- snapshots (worker warm-up and merge-back) ---------------------------
 
-    def snapshot(self, max_bytes=None):
+    def snapshot(self):
         """Portable entry list ``[(fingerprint, key, array), ...]``.
 
-        Most-recently-used entries first; ``max_bytes`` truncates the
-        snapshot (dataset views are deliberately excluded — they pin
-        whole corpora and are cheap to rebuild lazily).  Snapshots are
-        plain picklable data: ship one to streaming workers so they
-        start warm, or persist it with :meth:`save`.
+        Most-recently-used entries first (dataset views are
+        deliberately excluded — they pin whole corpora and are cheap to
+        rebuild lazily).  Snapshots are plain picklable data: ship one
+        to streaming workers so they start warm.
         """
-        entries = []
-        total = 0
         with self._lock:
-            for (fingerprint, key), array in reversed(
-                self._entries.items()
-            ):
-                total += array.nbytes
-                if (max_bytes is not None and total > max_bytes
-                        and entries):
-                    break
-                entries.append((fingerprint, key, array))
-        return entries
-
-    def load_snapshot(self, entries):
-        """Insert snapshot entries (oldest first, preserving recency)."""
-        for fingerprint, key, array in reversed(list(entries)):
-            self.put(fingerprint, key, array)
-        return self
+            return [
+                (fingerprint, key, array)
+                for (fingerprint, key), array in reversed(
+                    self._entries.items()
+                )
+            ]
 
     def track_deltas(self):
         """Start recording every subsequent insert as a delta entry.
@@ -386,65 +390,6 @@ class AtomCache:
                 if not record_deltas:
                     self.delta_log = saved_log
         return merged, skipped
-
-    def save(self, path, max_bytes=None):
-        """Spill the cache's entries to ``path`` (pickle format).
-
-        A later process (or CLI invocation) over the same corpus starts
-        warm via :meth:`from_file` — the cross-process persistence
-        counterpart of shipping a snapshot to streaming workers.
-
-        The spill is a pickle: loading one executes whatever it
-        contains, so :meth:`from_file` must only be pointed at paths
-        the local user controls (the same trust model as any pickle-
-        based cache file) — never at downloaded or shared-writable
-        artifacts.
-        """
-        with open(path, "wb") as handle:
-            pickle.dump(
-                {"format": 1, "entries": self.snapshot(max_bytes)},
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        return path
-
-    @classmethod
-    def from_file(cls, path, **kwargs):
-        """An :class:`AtomCache` preloaded from a :meth:`save` spill.
-
-        ``path`` must be trusted: spills are pickles, and unpickling
-        runs before the format check can reject foreign content (see
-        :meth:`save`).
-
-        A truncated or otherwise undecodable spill raises a typed
-        :class:`~repro.errors.CachePersistenceError` (a
-        :class:`ReproError`) instead of leaking a raw
-        ``EOFError``/``UnpicklingError`` from pickle.
-        """
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-        except OSError:
-            raise
-        except Exception as err:
-            raise CachePersistenceError(
-                f"{path!r} is not a readable AtomCache spill "
-                f"(truncated or corrupt): {err}"
-            ) from err
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != 1
-            or "entries" not in payload
-        ):
-            raise CachePersistenceError(
-                f"{path!r} is not an AtomCache spill file"
-            )
-        try:
-            return cls(**kwargs).load_snapshot(payload["entries"])
-        except (TypeError, ValueError) as err:
-            raise CachePersistenceError(
-                f"{path!r} holds malformed AtomCache entries: {err}"
-            ) from err
 
     # -- reporting ----------------------------------------------------------
 

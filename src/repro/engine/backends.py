@@ -1,12 +1,15 @@
 """Pluggable evaluation backends for the :class:`FilterEngine`.
 
 A backend turns (*predicate*, *records*) into per-record match bits.
-Two first-party backends cover the repo's two evaluation strategies:
+The default, ``compiled``, lives in :mod:`repro.engine.compiled`; this
+module holds the two it is checked against:
 
 * :class:`VectorizedBackend` — the dataset-scale harness
   (:class:`repro.eval.harness.DatasetView` + ``evaluate_expression``),
   which batches all heavy lifting into numpy sweeps over the
-  concatenated record stream;
+  concatenated record stream; the compiled backend's fallback for
+  predicates without an expression form, and the shape design-space
+  sweeps use;
 * :class:`ScalarBackend` — the per-record behavioural evaluator
   (:func:`repro.core.composition.evaluate_record`), the reference
   oracle the vectorised path is audited against.
@@ -118,9 +121,7 @@ class VectorizedBackend(Backend):
     #: stream for this backend (see FilterEngine._stream_target)
     wants_expression = True
 
-    def __init__(self, scalar_fallback=True, atom_cache=None,
-                 selectivity=None):
-        self.scalar_fallback = scalar_fallback
+    def __init__(self, atom_cache=None, selectivity=None):
         self.atom_cache = atom_cache
         #: optional SelectivityTracker fed with per-atom pass rates
         #: (attached by the owning engine; shared with the compiled
@@ -145,11 +146,7 @@ class VectorizedBackend(Backend):
         match_array = getattr(predicate, "match_array", None)
         if callable(match_array):
             return np.asarray(match_array(as_dataset(records)), dtype=bool)
-        if self.scalar_fallback:
-            return self._scalar.match_bits(predicate, records)
-        raise ReproError(
-            f"no vectorised evaluation for {predicate!r}"
-        )
+        return self._scalar.match_bits(predicate, records)
 
     def _memoised_view(self, records, dataset):
         """One-slot DatasetView memo keyed by batch object identity.
@@ -192,7 +189,6 @@ BACKENDS = {
     "vectorized": VectorizedBackend,
     "scalar": ScalarBackend,
     "compiled": _compiled_factory,
-    "auto": VectorizedBackend,
 }
 
 

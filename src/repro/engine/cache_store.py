@@ -27,10 +27,12 @@ BWT construction):
   construction and the log does not grow on re-demotion churn.
 
 Entries reuse the AtomCache's existing serialization unit — the
-``(fingerprint, key, array)`` triple of :meth:`AtomCache.snapshot` /
-:meth:`~AtomCache.save` — so anything a snapshot can carry, the store
-can hold.  Like those spills, the log is pickle-based: point a store
-only at directories the local user controls.
+``(fingerprint, key, array)`` triple of :meth:`AtomCache.snapshot` —
+so anything a snapshot can carry, the store can hold.
+:meth:`AtomCache.persist` writes the live entries too, so a process
+that evicted nothing still leaves the next one warm.  The log is
+pickle-based: point a store only at directories the local user
+controls.
 
 A truncated or corrupt log raises a typed
 :class:`~repro.errors.CachePersistenceError` on open, never a raw

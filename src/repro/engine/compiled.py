@@ -50,18 +50,18 @@ hardware's ``record_reset`` already depend on.  Predicates with no
 raw-filter expression form degrade to the vectorized path with a
 once-per-backend warning (see :meth:`CompiledBackend.stats`).
 
-The generated source and the plan it executes are additionally
-checkable: :mod:`repro.analysis.kernel_verify` proves the source stays
-inside the kernel ABI whitelist and the plan boolean-equivalent to the
-expression.  ``CompiledBackend(verify_kernels=...)`` runs that proof
-(memoised per filter fingerprint) on every kernel it executes; the
-default ``None`` resolves to *on* under pytest and *off* otherwise,
-and ``repro serve`` turns it on explicitly.
+The generated source and the plan it executes are proven before any of
+the source runs: :class:`CompiledKernel` hands both to
+:mod:`repro.analysis.kernel_verify`, which checks the source stays
+inside the kernel ABI whitelist and the plan is boolean-equivalent to
+the expression, between codegen and ``compile()``/``exec``.  A
+miscompile raises :class:`~repro.errors.KernelVerificationError`.
+Kernels are registered by filter fingerprint, so each filter is
+verified once per process and a reused kernel costs one dict probe.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 import warnings
 from collections import OrderedDict
@@ -398,14 +398,24 @@ def generate_kernel_source(plan: KernelPlan) -> str:
 
 
 class CompiledKernel:
-    """One filter, compiled: plan + generated source + callable."""
+    """One filter, compiled: plan + generated source + callable.
+
+    The source and plan are verified before the source is compiled or
+    executed; a failure raises
+    :class:`~repro.errors.KernelVerificationError`.
+    """
 
     __slots__ = ("expr", "plan", "source", "fn")
 
     def __init__(self, expr: comp.RawFilter) -> None:
+        # imported on first compile: processes that never compile a
+        # kernel do not load the analysis package
+        from ..analysis.kernel_verify import verify_kernel
+
         self.expr = expr
         self.plan = build_plan(expr)
         self.source = generate_kernel_source(self.plan)
+        verify_kernel(self)
         namespace: dict[str, Any] = {"np": np}
         for step in self.plan.steps:
             namespace[f"ATOM_{step.index}"] = step.atom
@@ -576,14 +586,8 @@ class CompiledBackend(Backend):
     :meth:`string_bits` / :meth:`atom_bits` / :meth:`refine` /
     :meth:`accumulate`, keeping all counters and cache integration in
     one place while the generated code carries the per-filter
-    specialisation (step set, constants, dispatch).
-
-    ``verify_kernels`` gates the static kernel verifier
-    (:mod:`repro.analysis.kernel_verify`): ``True`` proves every
-    kernel's source whitelist + plan equivalence before it runs
-    (memoised per filter fingerprint, so the warm path pays one dict
-    probe), ``False`` skips it, and ``None`` — the default — resolves
-    to ``True`` exactly when pytest is loaded.
+    specialisation (step set, constants, dispatch).  Every kernel it
+    runs was verified when it was compiled (see :class:`CompiledKernel`).
     """
 
     name = "compiled"
@@ -593,26 +597,20 @@ class CompiledBackend(Backend):
 
     def __init__(
         self,
-        scalar_fallback: bool = True,
         atom_cache: Any = None,
         selectivity: SelectivityTracker | None = None,
-        verify_kernels: bool | None = None,
     ) -> None:
-        self.scalar_fallback = scalar_fallback
         self.atom_cache = atom_cache
         #: shared tracker (attached by the owning engine); lazily
         #: created when the backend runs standalone
         self.selectivity = selectivity
-        self.verify_kernels = verify_kernels
         self.kernels_compiled = 0
         self.kernels_reused = 0
         self.atoms_short_circuited = 0
         self.fallbacks = 0
         self.fallback_reason: str | None = None
         self._fallback_warned = False
-        self._vectorized = VectorizedBackend(
-            scalar_fallback=scalar_fallback
-        )
+        self._vectorized = VectorizedBackend()
         self._sampled: set[str] = set()
 
     # -- tracker ------------------------------------------------------------
@@ -621,11 +619,6 @@ class CompiledBackend(Backend):
         if self.selectivity is None:
             self.selectivity = SelectivityTracker()
         return self.selectivity
-
-    def _verify_enabled(self) -> bool:
-        if self.verify_kernels is not None:
-            return bool(self.verify_kernels)
-        return "pytest" in sys.modules
 
     # -- entry point --------------------------------------------------------
 
@@ -641,12 +634,6 @@ class CompiledBackend(Backend):
             self.kernels_reused += 1
         else:
             self.kernels_compiled += 1
-        if self._verify_enabled():
-            # raises KernelVerificationError on a miscompile; memoised
-            # by filter fingerprint so reused kernels pay a dict probe
-            from ..analysis.kernel_verify import verify_kernel
-
-            verify_kernel(kernel)
         state = KernelState(dataset, kernel.plan)
         if self.atom_cache is not None:
             state.fingerprint = dataset_fingerprint(dataset)

@@ -46,9 +46,13 @@ DEFAULT_CHUNK_BYTES = 1 << 20
 class EngineConfig:
     """Execution parameters of a :class:`FilterEngine`."""
 
-    def __init__(self, backend="vectorized",
+    #: every compiled kernel is verified before it runs (see
+    #: :class:`~repro.engine.compiled.CompiledKernel`); not a setting
+    verify_kernels = True
+
+    def __init__(self, backend="compiled",
                  chunk_bytes=DEFAULT_CHUNK_BYTES, num_workers=1,
-                 mp_context=None, cache_store=None, verify_kernels=None):
+                 mp_context=None, cache_store=None):
         if chunk_bytes <= 0:
             raise ReproError("chunk_bytes must be positive")
         if num_workers <= 0:
@@ -66,12 +70,6 @@ class EngineConfig:
         #: directory path (implies an AtomCache when none is passed) —
         #: LRU-evicted entries demote to disk, misses promote them back
         self.cache_store = cache_store
-        #: static kernel verification (:mod:`repro.analysis`): ``True``
-        #: proves every compiled kernel's source whitelist + plan
-        #: equivalence before it runs, ``False`` skips, ``None`` — the
-        #: default — enables it under pytest (``repro serve`` passes
-        #: ``True`` explicitly)
-        self.verify_kernels = verify_kernels
 
     def __repr__(self):
         return (
@@ -79,8 +77,7 @@ class EngineConfig:
             f"chunk_bytes={self.chunk_bytes}, "
             f"num_workers={self.num_workers}, "
             f"mp_context={self.mp_context!r}, "
-            f"cache_store={self.cache_store!r}, "
-            f"verify_kernels={self.verify_kernels!r})"
+            f"cache_store={self.cache_store!r})"
         )
 
 
@@ -122,10 +119,10 @@ class StreamBatch:
 class FilterEngine:
     """One execution layer, pluggable backends, streaming or batch."""
 
-    def __init__(self, backend="vectorized",
+    def __init__(self, backend="compiled",
                  chunk_bytes=DEFAULT_CHUNK_BYTES, num_workers=1,
                  config=None, cache=None, mp_context=None,
-                 cache_store=None, verify_kernels=None):
+                 cache_store=None):
         if isinstance(backend, EngineConfig):
             # FilterEngine(EngineConfig(...)) — the config is the
             # natural first positional argument, not a backend name
@@ -135,11 +132,10 @@ class FilterEngine:
                     "config=, not both"
                 )
             config = backend
-            backend = "vectorized"
+            backend = "compiled"
         if config is None:
             config = EngineConfig(backend, chunk_bytes, num_workers,
-                                  mp_context, cache_store,
-                                  verify_kernels)
+                                  mp_context, cache_store)
         elif not isinstance(config, EngineConfig):
             raise ReproError(
                 f"config must be an EngineConfig, got {config!r}"
@@ -147,12 +143,11 @@ class FilterEngine:
         else:
             overridden = [
                 name for name, value, default in (
-                    ("backend", backend, "vectorized"),
+                    ("backend", backend, "compiled"),
                     ("chunk_bytes", chunk_bytes, DEFAULT_CHUNK_BYTES),
                     ("num_workers", num_workers, 1),
                     ("mp_context", mp_context, None),
                     ("cache_store", cache_store, None),
-                    ("verify_kernels", verify_kernels, None),
                 )
                 if value != default
             ]
@@ -215,9 +210,6 @@ class FilterEngine:
             instance.atom_cache = self.atom_cache
         if getattr(instance, "selectivity", False) is None:
             instance.selectivity = self.selectivity
-        if (self.config.verify_kernels is not None
-                and getattr(instance, "verify_kernels", False) is None):
-            instance.verify_kernels = self.config.verify_kernels
         return instance
 
     # -- whole-corpus evaluation --------------------------------------------
@@ -599,11 +591,13 @@ def default_engine():
 
     Carries a bounded :class:`~repro.engine.atom_cache.AtomCache`, so
     independent light callers (design-space exploration in particular)
-    share previously computed atom masks process-wide.
+    share previously computed atom masks process-wide.  Its callers are
+    design-space and Sparser sweeps — many filters over one corpus,
+    each atom evaluated once — so it runs the vectorized backend.
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = FilterEngine(cache=True)
+        _DEFAULT_ENGINE = FilterEngine(backend="vectorized", cache=True)
     return _DEFAULT_ENGINE
 
 

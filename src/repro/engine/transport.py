@@ -28,8 +28,8 @@ Workers track the entries they compute themselves
 the parent merges it into its own cache as the result drains
 (:meth:`AtomCache.merge_snapshot`, bounded by the cache's LRU/byte
 caps), so a parallel first pass warms later serial passes,
-``DesignSpace`` sweeps and ``--cache-file`` spills exactly like a
-serial pass does.
+``DesignSpace`` sweeps and the ``--cache-store`` disk tier exactly
+like a serial pass does.
 
 The multiprocessing start method is an explicit engine parameter
 (``EngineConfig(mp_context=...)``), resolved by

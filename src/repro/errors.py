@@ -51,8 +51,7 @@ class WorkerCrashError(ReproError):
 class CachePersistenceError(ReproError):
     """A persisted cache artifact is unreadable (truncated/corrupt).
 
-    Raised by :meth:`repro.engine.atom_cache.AtomCache.from_file` and by
-    :class:`repro.engine.cache_store.CacheStore` when a spill file or
+    Raised by :class:`repro.engine.cache_store.CacheStore` when a
     disk-tier log cannot be decoded — a clear, typed signal instead of
     a raw ``EOFError``/``UnpicklingError`` escaping from pickle.
     """

@@ -100,7 +100,7 @@ class EnginePool:
         self.workers = workers
         self.engines = [
             FilterEngine(backend=backend, cache=self.cache,
-                         num_workers=workers, verify_kernels=True)
+                         num_workers=workers)
             for _ in range(size)
         ]
         if workers > 1:

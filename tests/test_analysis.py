@@ -5,23 +5,27 @@ whitelist and truth-table plan-equivalence proof (accepting every plan
 the real codegen emits, rejecting injected miscompiles), the
 annotation-driven lock-discipline checker, the resource-lifecycle
 linter, the baseline machinery, the ``repro lint`` CLI, and the
-``verify_kernels`` wiring through :class:`CompiledBackend` /
-:class:`FilterEngine` — including that the whole shipped tree is
+verification every :class:`CompiledKernel` runs before its source is
+executed — including that the whole shipped tree is
 finding-free with an empty baseline.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import repro
+import repro.analysis.kernel_verify as kernel_verify
 import repro.core.composition as comp
 import repro.engine.compiled as compiled_module
 from repro.analysis import (
     Finding,
     KernelVerificationError,
-    clear_verified,
     filter_baselined,
     kernel_selfcheck,
     load_baseline,
@@ -29,7 +33,6 @@ from repro.analysis import (
     run_lint,
     save_baseline,
     source_violations,
-    verified_count,
     verify_kernel,
     verify_kernel_source,
     verify_plan,
@@ -44,6 +47,7 @@ from repro.engine.compiled import (
     KernelPlan,
     KernelStep,
     build_plan,
+    kernel_for,
 )
 from repro.errors import ReproError
 
@@ -219,30 +223,82 @@ class TestPlanEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestVerifyWiring:
-    def test_verification_memoised_by_fingerprint(self):
-        clear_verified()
-        kernel = CompiledKernel(qs1_style_filter())
-        assert verify_kernel(kernel) is True     # actually verified
-        count = verified_count()
-        assert verify_kernel(kernel) is False    # memo hit
-        assert verified_count() == count
+    def test_verification_memoised_by_fingerprint(self, monkeypatch):
+        """A kernel_for hit reuses the verified kernel: no re-verify."""
+        calls = []
 
-    def test_default_resolves_on_under_pytest(self):
-        assert CompiledBackend()._verify_enabled() is True
-        assert CompiledBackend(
-            verify_kernels=False
-        )._verify_enabled() is False
+        def counting_verify(kernel):
+            calls.append(kernel.expr.notation())
+            verify_kernel(kernel)
 
-    def test_engine_threads_verify_kernels_to_backend(self):
-        engine = FilterEngine(backend="compiled", verify_kernels=False)
-        assert engine.backend().verify_kernels is False
-        assert "verify_kernels=False" in repr(engine.config)
+        monkeypatch.setattr(kernel_verify, "verify_kernel",
+                            counting_verify)
+        try:
+            clear_kernels()
+            first, reused = kernel_for(qs1_style_filter())
+            assert not reused and len(calls) == 1
+            again, reused = kernel_for(qs1_style_filter())
+            assert reused and again is first
+            assert len(calls) == 1
+        finally:
+            clear_kernels()
+
+    def test_kernel_source_verified_before_exec(self, monkeypatch):
+        """Generated source is proven before any of it runs: a
+        module-level statement the whitelist refuses never executes."""
+        real_codegen = compiled_module.generate_kernel_source
+        monkeypatch.setattr(
+            compiled_module, "generate_kernel_source",
+            lambda plan: real_codegen(plan)
+            + 'raise RuntimeError("executed")\n',
+        )
+        with pytest.raises(KernelVerificationError):
+            CompiledKernel(comp.s("temperature", 1))
+
+    def test_verification_runs_without_pytest(self):
+        """Verification does not depend on the test runner: a plain
+        interpreter hitting a miscompile gets the typed error too."""
+        script = textwrap.dedent('''
+            import sys
+            import repro.engine.compiled as compiled
+            from repro.core import s
+            from repro.engine import FilterEngine
+            from repro.errors import KernelVerificationError
+
+            # miscompile: an AND plan run with OR short-circuiting
+            build_plan = compiled.build_plan
+            compiled.build_plan = lambda expr: compiled.KernelPlan(
+                expr, "or", build_plan(expr).steps
+            )
+            assert "pytest" not in sys.modules
+            try:
+                FilterEngine().match_bits(s("temp", 1), [b'{"temp":1}'])
+            except KernelVerificationError:
+                print("refused")
+        ''')
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "refused"
+
+    def test_engine_config_verify_kernels_is_a_constant(self):
+        from repro.engine import EngineConfig
+
+        config = EngineConfig()
+        assert config.verify_kernels is True
+        assert "verify_kernels" not in repr(config)
+        with pytest.raises(TypeError):
+            EngineConfig(verify_kernels=False)
 
     def test_engine_rejects_conflicting_config(self):
         from repro.engine import EngineConfig
 
-        with pytest.raises(ReproError, match="verify_kernels"):
-            FilterEngine(config=EngineConfig(), verify_kernels=True)
+        with pytest.raises(ReproError, match="chunk_bytes"):
+            FilterEngine(config=EngineConfig(), chunk_bytes=4096)
 
     def test_miscompiled_plan_raises_through_backend(self, monkeypatch):
         """A codegen bug (wrong plan) surfaces as a typed error at
@@ -265,13 +321,10 @@ class TestVerifyWiring:
                 compiled_module, "build_plan", corrupt_build_plan
             )
             clear_kernels()
-            clear_verified()
-            backend = CompiledBackend(verify_kernels=True)
             with pytest.raises(KernelVerificationError):
-                backend.match_bits(qs1_style_filter(), dataset)
+                CompiledBackend().match_bits(qs1_style_filter(), dataset)
         finally:
             clear_kernels()
-            clear_verified()
 
     def test_injected_source_raises_through_backend(self, monkeypatch):
         real_codegen = compiled_module.generate_kernel_source
@@ -285,33 +338,12 @@ class TestVerifyWiring:
                 compiled_module, "generate_kernel_source", evil_codegen
             )
             clear_kernels()
-            clear_verified()
-            backend = CompiledBackend(verify_kernels=True)
             with pytest.raises(KernelVerificationError):
-                backend.match_bits(comp.s("temperature", 1), dataset)
+                CompiledBackend().match_bits(
+                    comp.s("temperature", 1), dataset
+                )
         finally:
             clear_kernels()
-            clear_verified()
-
-    def test_verify_off_skips_the_check(self, monkeypatch):
-        real_codegen = compiled_module.generate_kernel_source
-
-        def evil_codegen(plan):
-            return real_codegen(plan) + "\n_UNCHECKED = len\n"
-
-        dataset = load_dataset("smartcity", 100, seed=5)
-        try:
-            monkeypatch.setattr(
-                compiled_module, "generate_kernel_source", evil_codegen
-            )
-            clear_kernels()
-            clear_verified()
-            backend = CompiledBackend(verify_kernels=False)
-            bits = backend.match_bits(comp.s("temperature", 1), dataset)
-            assert len(bits) == len(dataset)
-        finally:
-            clear_kernels()
-            clear_verified()
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ class TestCachePolicy:
         engine = FilterEngine()
         stats = engine.stats()
         assert stats["cache"] is None
-        assert stats["backend"] == "vectorized"
+        assert stats["backend"] == "compiled"
 
     def test_view_memo_is_bounded(self):
         cache = AtomCache(max_views=2)
@@ -327,7 +327,7 @@ class TestCachePolicy:
 
 
 class TestSnapshots:
-    """Snapshot/spill: worker warm-up and cross-process persistence."""
+    """Snapshots: worker warm-up and merge-back."""
 
     def _warmed_cache(self, num_records=60):
         dataset = load_dataset("smartcity", num_records, seed=9)
@@ -340,8 +340,8 @@ class TestSnapshots:
         cache, dataset = self._warmed_cache()
         entries = cache.snapshot()
         assert len(entries) == len(cache)
-        clone = AtomCache().load_snapshot(entries)
-        assert len(clone) == len(cache)
+        clone = AtomCache()
+        assert clone.merge_snapshot(entries) == (len(cache), 0)
         # the clone serves the same masks without re-evaluating
         engine = FilterEngine(cache=clone)
         misses_before = clone.misses
@@ -358,32 +358,6 @@ class TestSnapshots:
         cache.put((1, b"fp"), "new", np.ones(4, dtype=bool))
         entries = cache.snapshot()
         assert [key for _, key, _ in entries] == ["new", "old"]
-
-    def test_snapshot_byte_budget_keeps_recent_entries(self):
-        cache = AtomCache()
-        cache.put((1, b"fp"), "old", np.zeros(1024, dtype=np.uint8))
-        cache.put((1, b"fp"), "new", np.zeros(1024, dtype=np.uint8))
-        entries = cache.snapshot(max_bytes=1024)
-        assert [key for _, key, _ in entries] == ["new"]
-
-    def test_save_and_from_file(self, tmp_path):
-        cache, dataset = self._warmed_cache()
-        path = tmp_path / "atoms.pkl"
-        cache.save(path)
-        warm = AtomCache.from_file(path)
-        assert len(warm) == len(cache)
-        engine = FilterEngine(cache=warm)
-        engine.match_bits(comp.s("temperature", 1), dataset)
-        assert warm.hits > 0
-        assert warm.misses == 0
-
-    def test_from_file_rejects_garbage(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        import pickle
-
-        path.write_bytes(pickle.dumps({"something": "else"}))
-        with pytest.raises(ReproError):
-            AtomCache.from_file(path)
 
 
 class TestMergeSnapshot:
@@ -438,7 +412,7 @@ class TestMergeSnapshot:
 
     def test_delta_log_records_only_new_inserts(self):
         cache = AtomCache()
-        cache.load_snapshot(
+        cache.merge_snapshot(
             [((1, b"fp"), "warm", np.array([1], dtype=bool))]
         )
         cache.track_deltas()

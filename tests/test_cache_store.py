@@ -349,10 +349,8 @@ class TestEngineWiring:
         engine = pool.engines[0]
         engine.match_bits(simple_filter(), dataset)
         assert pool.cache.store is not None
-        # force everything to disk, as a long-running gateway would
-        # under byte pressure
-        for (fp, key), array in list(pool.cache._entries.items()):
-            pool.cache.store.put(fp, key, array)
+        # what `repro serve` does on shutdown
+        assert pool.cache.persist() > 0
         pool.cache.store.close()
         pool.close()
 
@@ -364,39 +362,19 @@ class TestEngineWiring:
         warm_pool.close()
 
 
-class TestAtomCacheSpillErrors:
-    """Satellite: AtomCache.from_file raises typed errors on damaged
-    spills instead of leaking pickle internals."""
+class TestPersist:
+    """AtomCache.persist: live entries to the disk tier on exit."""
 
-    def test_truncated_spill(self, tmp_path):
-        cache = AtomCache()
-        cache.put((1, b"fp"), "k", mask(1, 0, 1))
-        path = tmp_path / "atoms.pkl"
-        cache.save(path)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(CachePersistenceError, match="truncated"):
-            AtomCache.from_file(path)
-
-    def test_garbage_bytes(self, tmp_path):
-        path = tmp_path / "atoms.pkl"
-        path.write_bytes(b"\x00\x01not a pickle at all")
-        with pytest.raises(CachePersistenceError):
-            AtomCache.from_file(path)
-
-    def test_wrong_document_shape(self, tmp_path):
-        path = tmp_path / "atoms.pkl"
-        path.write_bytes(pickle.dumps({"format": 1, "entries": 13}))
-        with pytest.raises(CachePersistenceError):
-            AtomCache.from_file(path)
-
-    def test_missing_file_stays_oserror(self, tmp_path):
-        """A missing path is an environment problem, not a corrupt
-        artifact — it must keep raising FileNotFoundError."""
-        with pytest.raises(FileNotFoundError):
-            AtomCache.from_file(tmp_path / "never-written.pkl")
-
-    def test_typed_error_is_a_repro_error(self, tmp_path):
-        path = tmp_path / "atoms.pkl"
-        path.write_bytes(b"junk")
-        with pytest.raises(ReproError):
-            AtomCache.from_file(path)
+    def test_persist_writes_live_entries_once(self, tmp_path):
+        cache = AtomCache(store=tmp_path / "store")
+        cache.put((3, b"fp"), "a", mask(1, 0, 1))
+        cache.put((3, b"fp"), "b", mask(0, 1, 1))
+        assert cache.persist() == 2
+        assert len(cache.store) == 2
+        # already-stored keys are skipped: the log does not grow
+        size = cache.store.nbytes
+        assert cache.persist() == 0
+        assert cache.store.nbytes == size
+        cache.store.close()
+        # without a store there is nothing to write to
+        assert AtomCache().persist() == 0

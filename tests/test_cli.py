@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -278,27 +279,34 @@ class TestIngestAndTransportOptions:
         assert "merge-back" not in capsys.readouterr().err
 
     def test_bench_cache_file_warm_restart(self, tmp_path, capsys):
-        spill = tmp_path / "atoms.pkl"
+        """Restart-warm through --cache-store, uncapped: nothing is
+        evicted, so only persisting the live entries on exit lets the
+        second invocation start warm."""
+        store = tmp_path / "store"
+        runs = []
         for _ in range(2):
             code = main([
                 "bench", "s:1:temperature",
                 "--records", "60", "--backends", "vectorized",
-                "--cache-file", str(spill),
+                "--cache-store", str(store),
             ])
             assert code == 0
-        captured = capsys.readouterr()
-        assert spill.exists()
-        assert "atom cache spilled" in captured.err
-        # the second invocation started warm from the spill file
-        assert "hit rate 100.0%" in captured.err
+            runs.append(capsys.readouterr().err)
+        assert "entries persisted to" in runs[0]
+        # the second invocation was served from the disk tier
+        assert "hit rate 100.0%" in runs[1]
+        tier_hits = re.search(r"\((\d+) tier hits", runs[1])
+        assert tier_hits and int(tier_hits.group(1)) > 0
 
     def test_parser_defaults(self):
         parser = build_arg_parser()
         args = parser.parse_args(["filter", "s:1:a"])
         assert args.source == "file"
+        assert args.backend == "compiled"
         assert not hasattr(args, "transport")
+        assert not hasattr(args, "cache_file")
         assert args.mp_context is None
-        assert args.cache is False and args.cache_file is None
+        assert args.cache is False and args.cache_store is None
         bench = parser.parse_args(["bench", "s:1:a"])
         assert bench.source == "memory"
         assert bench.json is None

@@ -359,13 +359,14 @@ class TestEngineIntegration:
         assert rates == sorted(rates)
 
     def test_vectorized_runs_feed_the_same_tracker(self, corpus):
-        engine = FilterEngine()  # vectorized default
+        engine = FilterEngine(backend="vectorized")
         engine.match_bits(qs1_style_filter(), corpus)
         assert engine.stats()["selectivity"]
 
     def test_engine_config_accepts_compiled(self):
-        config = EngineConfig(backend="compiled")
-        engine = FilterEngine(config=config)
+        """``compiled`` is the default backend."""
+        engine = FilterEngine(config=EngineConfig())
+        assert engine.config.backend == "compiled"
         assert isinstance(engine.backend(), CompiledBackend)
         assert isinstance(
             resolve_backend("compiled"), CompiledBackend

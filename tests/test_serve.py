@@ -38,8 +38,10 @@ HUMIDITY_EXPR = "group(s:1:humidity,v:float:20.3:69.1)"
 
 
 def offline_bits(expression, payload):
-    """Reference match bits from a plain offline engine stream."""
-    engine = FilterEngine()
+    """Reference match bits from a plain offline engine stream (the
+    vectorized backend, so the compiled gateway is checked against a
+    different evaluator)."""
+    engine = FilterEngine(backend="vectorized")
     bits = []
     for batch in engine.stream(
         parse_filter_expression(expression), payload
