@@ -63,7 +63,9 @@ def _corpora(count):
 def _offline_bits(payload):
     from repro.cli import parse_filter_expression
 
-    engine = FilterEngine()
+    # the gateway runs the default compiled backend; the offline
+    # reference runs the vectorized one so the two paths are independent
+    engine = FilterEngine(backend="vectorized")
     bits = []
     for batch in engine.stream(
         parse_filter_expression(EXPR), payload

@@ -10,8 +10,8 @@ harness — obtains per-record match bits from one
   per filter, a single selectivity-ordered pass with short-circuiting;
 * ``vectorized`` — dataset-scale numpy evaluation
   (:mod:`repro.eval.harness`), one sweep per atom: the compiled
-  backend's fallback, the differential reference, and the shape
-  design-space sweeps use (:func:`default_engine`);
+  backend's fallback, the differential reference, and the backend of
+  :func:`default_engine` (Sparser probe sweeps run faster on it);
 * ``scalar`` — per-record behavioural evaluation
   (:func:`repro.core.composition.evaluate_record`), the reference
   oracle the other paths are cross-checked against.

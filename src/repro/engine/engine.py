@@ -574,10 +574,6 @@ class FilterEngine:
         for batch in self.stream(predicate, chunks, backend=backend):
             yield from batch.accepted
 
-    def evaluate_dataset(self, predicate, dataset, backend=None):
-        """Alias of :meth:`match_bits` for Dataset inputs (readability)."""
-        return self.match_bits(predicate, as_dataset(dataset), backend)
-
     def __repr__(self):
         return f"FilterEngine({self.config!r})"
 
@@ -591,9 +587,11 @@ def default_engine():
 
     Carries a bounded :class:`~repro.engine.atom_cache.AtomCache`, so
     independent light callers (design-space exploration in particular)
-    share previously computed atom masks process-wide.  Its callers are
-    design-space and Sparser sweeps — many filters over one corpus,
-    each atom evaluated once — so it runs the vectorized backend.
+    share previously computed atom masks process-wide.  Its backend
+    only matters to Sparser's probe ``match_array`` (design-space
+    exploration calls :meth:`FilterEngine.evaluate_atoms`); a Sparser
+    sweep builds one short-lived filter per probe, which runs faster
+    vectorized than compiled and verified, so this engine is vectorized.
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:

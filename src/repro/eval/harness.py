@@ -105,15 +105,6 @@ class DatasetView:
         return batch_token_accepts(predicate.dfa, matrix, lengths)
 
 
-def _record_any(view, positions):
-    """Per-record bool: any of the given global positions in the record."""
-    result = np.zeros(view.num_records, dtype=bool)
-    if len(positions):
-        records = np.searchsorted(view.starts, positions, side="right") - 1
-        result[records] = True
-    return result
-
-
 def evaluate_atom(view, atom, cache):
     """Per-record boolean array for one atom, with sub-result caching."""
     key = atom.cache_key()

@@ -47,8 +47,8 @@ class MultiStreamSoC:
     expression-agnostic, so its backend caches and configuration are
     reused across every stream's filter.  The default engine carries an
     :class:`~repro.engine.atom_cache.AtomCache`, so streams whose
-    filters share atoms over the same corpus reuse each other's
-    vectorised evaluation work.
+    filters share atoms over the same corpus reuse each other's atom
+    masks (the default compiled backend reads and fills the cache).
     """
 
     def __init__(self, assignments, clock_hz=200_000_000, engine=None):

@@ -119,27 +119,29 @@ class TestDifferentialDesignSpace:
         assert engine.atom_cache.misses == misses_after_first
 
     def test_match_bits_cached_equals_uncached(self):
-        """Engine-level differential: cached vectorised bits equal both
-        the uncached vectorised and the scalar oracle bits."""
+        """Engine-level differential: cached bits equal both the
+        uncached bits of the same backend and the scalar oracle bits,
+        for the vectorized and the compiled backend."""
         dataset = load_dataset("taxi", 150, seed=5)
         exprs = [
             comp.s("taxi", 2),
             comp.And([comp.s("taxi", 2), comp.v_int(0, 80)]),
             comp.group(comp.s("fare_amount", 1), comp.v("6.0", "201.0")),
         ]
-        cached = FilterEngine(cache=True)
-        plain = FilterEngine()
-        for expr in exprs:
-            for _ in range(2):  # second pass is served from the cache
-                fast = cached.match_bits(expr, dataset)
-                assert fast.tolist() == (
-                    plain.match_bits(expr, dataset).tolist()
-                )
-                assert fast.tolist() == (
-                    plain.match_bits(
-                        expr, dataset, backend="scalar"
-                    ).tolist()
-                )
+        for backend in ("vectorized", "compiled"):
+            cached = FilterEngine(backend=backend, cache=True)
+            plain = FilterEngine(backend=backend)
+            for expr in exprs:
+                for _ in range(2):  # second pass is served from the cache
+                    fast = cached.match_bits(expr, dataset)
+                    assert fast.tolist() == (
+                        plain.match_bits(expr, dataset).tolist()
+                    ), backend
+                    assert fast.tolist() == (
+                        plain.match_bits(
+                            expr, dataset, backend="scalar"
+                        ).tolist()
+                    ), backend
 
     def test_cached_results_are_writable_copies(self):
         dataset = load_dataset("smartcity", 60)

@@ -272,23 +272,26 @@ class TestTieredAtomCache:
 
     def test_differential_masks_identical_with_tiny_tier(self, tmp_path):
         """A pathologically small tiered cache (constant demote/promote
-        churn) must not change a single match bit."""
+        churn) must not change a single match bit, on either backend
+        that reads the cache."""
         dataset = load_dataset("smartcity", 150, seed=3)
-        reference = FilterEngine(cache=False).match_bits(
+        reference = FilterEngine(backend="scalar").match_bits(
             simple_filter(), dataset
         )
-        cache = AtomCache(
-            max_bytes=256, store=CacheStore(tmp_path / "store")
-        )
-        engine = FilterEngine(cache=cache, chunk_bytes=1024)
-        for _ in range(3):  # repeated passes churn the tier
-            matches = []
-            for batch in engine.stream(
-                simple_filter(), dataset.stream.tobytes()
-            ):
-                matches.extend(batch.matches.tolist())
-            assert matches == reference.tolist()
-        assert cache.demoted > 0
+        for backend in ("vectorized", "compiled"):
+            cache = AtomCache(
+                max_bytes=256, store=CacheStore(tmp_path / backend)
+            )
+            engine = FilterEngine(backend=backend, cache=cache,
+                                  chunk_bytes=1024)
+            for _ in range(3):  # repeated passes churn the tier
+                matches = []
+                for batch in engine.stream(
+                    simple_filter(), dataset.stream.tobytes()
+                ):
+                    matches.extend(batch.matches.tolist())
+                assert matches == reference.tolist(), backend
+            assert cache.demoted > 0, backend
 
 
 # ---------------------------------------------------------------------------

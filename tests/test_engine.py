@@ -171,7 +171,7 @@ class TestBackendAgreement:
         dataset = load_dataset(
             dataset_name, 150, seed=1000 + seed
         )
-        engine = FilterEngine()
+        engine = FilterEngine(backend="vectorized")
         for _ in range(8):
             expr = random_expression(rng)
             fast = engine.match_bits(expr, dataset)
@@ -364,18 +364,20 @@ class TestCachedStreamSeams:
     def test_cached_and_uncached_streams_agree(self, corpus):
         payload = ndjson_bytes(corpus)
         expr = simple_filter()
-        cached = FilterEngine(chunk_bytes=190, cache=True)
-        plain = FilterEngine(chunk_bytes=190)
-        cached_batches = list(
-            cached.stream_file(expr, io.BytesIO(payload))
-        )
-        plain_batches = list(
-            plain.stream_file(expr, io.BytesIO(payload))
-        )
-        assert len(cached_batches) == len(plain_batches)
-        for left, right in zip(cached_batches, plain_batches):
-            assert left.records == right.records
-            assert left.matches.tolist() == right.matches.tolist()
+        for backend in ("vectorized", "compiled"):
+            cached = FilterEngine(backend=backend, chunk_bytes=190,
+                                  cache=True)
+            plain = FilterEngine(backend=backend, chunk_bytes=190)
+            cached_batches = list(
+                cached.stream_file(expr, io.BytesIO(payload))
+            )
+            plain_batches = list(
+                plain.stream_file(expr, io.BytesIO(payload))
+            )
+            assert len(cached_batches) == len(plain_batches), backend
+            for left, right in zip(cached_batches, plain_batches):
+                assert left.records == right.records
+                assert left.matches.tolist() == right.matches.tolist()
 
 
 class TestParallelStreaming:
@@ -545,7 +547,7 @@ class TestBaselinePredicates:
         return load_dataset("smartcity", 200, seed=21)
 
     def test_substring_probe_vectorizes_exactly(self, corpus):
-        engine = FilterEngine()
+        engine = FilterEngine(backend="vectorized")
         probe = SubstringProbe(b"temp")
         bits = engine.match_bits(probe, corpus)
         assert bits.tolist() == [
@@ -553,7 +555,7 @@ class TestBaselinePredicates:
         ]
 
     def test_cascade_backends_agree(self, corpus):
-        engine = FilterEngine()
+        engine = FilterEngine(backend="vectorized")
         cascade = optimize_cascade(
             ["temperature", "relativeHumidity"], corpus, max_probes=2
         )
@@ -589,7 +591,7 @@ class TestBaselinePredicates:
 
         query = ALL_QUERIES["QS0"]
         dataset = load_dataset(query.dataset_name, 120, seed=5)
-        engine = FilterEngine()
+        engine = FilterEngine(backend="vectorized")
         oracle = ExactFilter(query)
         truth = engine.match_bits(oracle, dataset)
         assert truth.tolist() == query.truth_array(dataset).tolist()
