@@ -171,8 +171,7 @@ def cmd_generate(args):
         args.output, "wb"
     )
     try:
-        for record in dataset:
-            out.write(record + b"\n")
+        out.write(dataset.stream.tobytes())
     finally:
         if out is not sys.stdout.buffer:
             out.close()

@@ -1,12 +1,13 @@
 """Dataset containers and corpus utilities.
 
-A :class:`Dataset` is an ordered collection of newline-delimited JSON
-records, held both as raw bytes (what the FPGA sees) and parsed values
-(what the oracle sees).  :func:`inflate` grows a dataset to a byte budget
-for the throughput experiment (§IV-B preloads "44 MB of inflated JSON
-data" into RAM).  :func:`write_ndjson_corpus` is the on-disk
-counterpart for the larger-than-memory experiments: it streams a
-RiotBench-style synthetic corpus to a file in bounded memory, so the
+A :class:`Dataset` is an ordered batch of newline-delimited JSON
+records, held as one newline-terminated byte stream plus record offsets
+(what the FPGA sees); per-record ``bytes`` and parsed values (what the
+oracle sees) are built on first use.  :func:`inflate` grows a dataset to
+a byte budget for the throughput experiment (§IV-B preloads "44 MB of
+inflated JSON data" into RAM).  :func:`write_ndjson_corpus` is the
+on-disk counterpart for the larger-than-memory experiments: it streams
+a RiotBench-style synthetic corpus to a file in bounded memory, so the
 corpus size is limited by disk, not RAM.
 """
 
@@ -18,21 +19,48 @@ from ..errors import ReproError
 from ..jsonpath.parser import loads
 
 
+def record_starts(newlines):
+    """Record start offsets, from the offsets of the records' newlines."""
+    starts = np.zeros(newlines.shape[0], dtype=np.int64)
+    starts[1:] = newlines[:-1] + 1
+    return starts
+
+
 class Dataset:
-    """Raw + parsed views of a record stream."""
+    """A record batch in columnar form: one buffer + offsets.
+
+    :attr:`stream` is a ``uint8`` array in which the records lie back to
+    back, each ending with ``\\n`` (records hold no other newline);
+    :attr:`starts` is the ``int64`` offset of each record in it.  The
+    same class carries generated corpora, framed stream chunks, resident
+    worker slot copies and compiled-kernel sub-batches.
+    """
 
     def __init__(self, name, records, parsed=None):
+        records = [bytes(record) for record in records]
+        stream = np.frombuffer(b"\n".join(records + [b""]), dtype=np.uint8)
+        newlines = np.flatnonzero(stream == 0x0A)
+        if newlines.shape[0] != len(records):
+            raise ReproError("records must not contain newlines")
+        self._adopt(name, stream, record_starts(newlines), parsed)
+        self._records = records
+
+    @classmethod
+    def from_buffer(cls, name, stream, starts, parsed=None):
+        """A batch over ``stream`` and its record ``starts``, no copy."""
+        dataset = cls.__new__(cls)
+        dataset._adopt(name, stream, starts, parsed)
+        return dataset
+
+    def _adopt(self, name, stream, starts, parsed):
         self.name = name
-        self.records = [bytes(record) for record in records]
-        for record in self.records:
-            if b"\n" in record:
-                raise ReproError("records must not contain newlines")
+        self.stream = stream
+        self.starts = starts
+        self._records = None
         self._parsed = list(parsed) if parsed is not None else None
-        self._stream = None
-        self._starts = None
 
     def __len__(self):
-        return len(self.records)
+        return int(self.starts.shape[0])
 
     def __iter__(self):
         return iter(self.records)
@@ -41,33 +69,43 @@ class Dataset:
         return self.records[index]
 
     @property
+    def lengths(self):
+        """Bytes of each record in :attr:`stream`, newline included."""
+        return np.diff(self.starts, append=self.stream.shape[0])
+
+    @property
+    def records(self):
+        """The records as ``bytes`` without their newline, built lazily."""
+        if self._records is None:
+            self._records = self._slices(self.starts, self.lengths)
+        return self._records
+
+    def select(self, mask):
+        """The records where ``mask`` is set, sliced out of the buffer."""
+        indices = np.flatnonzero(mask)
+        return self._slices(self.starts[indices], self.lengths[indices])
+
+    def _slices(self, starts, lengths):
+        if not starts.shape[0]:
+            return []
+        blob = self.stream.tobytes()
+        ends = (starts + lengths - 1).tolist()
+        return [blob[start:end] for start, end in zip(starts.tolist(), ends)]
+
+    def slice(self, lo, hi):
+        """Records ``lo`` to ``hi`` as a batch over the same buffer."""
+        begin = int(self.starts[lo])
+        end = int(self.starts[hi]) if hi < len(self) else None
+        return Dataset.from_buffer(
+            self.name, self.stream[begin:end], self.starts[lo:hi] - begin
+        )
+
+    @property
     def parsed(self):
         """Parsed record values (via the strict JSON parser), cached."""
         if self._parsed is None:
             self._parsed = [loads(record) for record in self.records]
         return self._parsed
-
-    @property
-    def stream(self):
-        """The concatenated newline-terminated byte stream (uint8 array)."""
-        if self._stream is None:
-            joined = b"".join(record + b"\n" for record in self.records)
-            self._stream = np.frombuffer(joined, dtype=np.uint8)
-        return self._stream
-
-    @property
-    def starts(self):
-        """Start offset of each record inside :attr:`stream`."""
-        if self._starts is None:
-            lengths = np.fromiter(
-                (len(record) + 1 for record in self.records),
-                dtype=np.int64,
-                count=len(self.records),
-            )
-            starts = np.zeros(len(self.records), dtype=np.int64)
-            np.cumsum(lengths[:-1], out=starts[1:])
-            self._starts = starts
-        return self._starts
 
     @property
     def total_bytes(self):
@@ -115,21 +153,20 @@ def inflate(dataset, target_bytes):
     """
     if target_bytes <= 0:
         raise ReproError("target size must be positive")
-    records = []
-    parsed = []
-    total = 0
-    source_parsed = dataset.parsed
-    index = 0
-    count = len(dataset.records)
-    if count == 0:
+    if not len(dataset):
         raise ReproError("cannot inflate an empty dataset")
-    while total < target_bytes:
-        record = dataset.records[index % count]
-        records.append(record)
-        parsed.append(source_parsed[index % count])
-        total += len(record) + 1
-        index += 1
-    return Dataset(f"{dataset.name}-inflated", records, parsed)
+    # whole copies, then the shortest head that reaches the budget
+    copies, rest = divmod(target_bytes - 1, dataset.total_bytes)
+    head = int(np.searchsorted(np.cumsum(dataset.lengths), rest + 1)) + 1
+    stream = np.concatenate(
+        [dataset.stream] * copies + [dataset.slice(0, head).stream]
+    )
+    parsed = dataset.parsed * (copies + 1)
+    return Dataset.from_buffer(
+        f"{dataset.name}-inflated", stream,
+        record_starts(np.flatnonzero(stream == 0x0A)),
+        parsed[:copies * len(dataset) + head],
+    )
 
 
 def write_ndjson_corpus(path, dataset="smartcity", target_bytes=0,
@@ -164,12 +201,9 @@ def write_ndjson_corpus(path, dataset="smartcity", target_bytes=0,
             batch = load_dataset(
                 dataset, batch_records, seed=seed + batches
             )
-            payload = b"".join(
-                record + b"\n" for record in batch.records
-            )
-            handle.write(payload)
-            total += len(payload)
-            records_written += len(batch.records)
+            handle.write(batch.stream)
+            total += batch.total_bytes
+            records_written += len(batch)
             batches += 1
     return {
         "path": str(path),

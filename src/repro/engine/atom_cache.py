@@ -52,13 +52,13 @@ def dataset_fingerprint(dataset):
     identity; any byte difference changes the fingerprint, so stale
     masks can never be served for a changed corpus.  The digest is
     memoised on the dataset instance (the stream itself is immutable
-    once built).
+    once built).  The buffer is hashed in place, not copied first.
     """
     cached = getattr(dataset, _FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
-    stream = dataset.stream
-    digest = hashlib.blake2b(stream.tobytes(), digest_size=16).digest()
+    stream = np.ascontiguousarray(dataset.stream)
+    digest = hashlib.blake2b(stream, digest_size=16).digest()
     fingerprint = (int(stream.shape[0]), digest)
     try:
         setattr(dataset, _FINGERPRINT_ATTR, fingerprint)

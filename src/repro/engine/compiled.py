@@ -70,6 +70,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from ..core import composition as comp
+from ..data.corpus import Dataset, record_starts
 from ..eval import harness
 from .atom_cache import dataset_fingerprint
 from .backends import (
@@ -475,74 +476,28 @@ def clear_kernels() -> None:
 # per-batch execution state
 # ---------------------------------------------------------------------------
 
-class _SubBatch:
-    """Dataset-protocol view over the surviving records' sub-stream.
-
-    Quacks like :class:`repro.data.corpus.Dataset` for everything the
-    evaluation harness touches (``stream``, ``starts``, ``len``, record
-    iteration for scalar fallbacks) without materialising a record
-    list.
-    """
-
-    __slots__ = ("stream", "starts", "name")
-
-    def __init__(self, stream: np.ndarray, starts: np.ndarray) -> None:
-        self.stream = stream
-        self.starts = starts
-        self.name = "kernel-subbatch"
-
-    def __len__(self) -> int:
-        return int(self.starts.shape[0])
-
-    def __iter__(self) -> Iterator[bytes]:
-        bounds = np.concatenate(
-            (self.starts, [self.stream.shape[0]])
-        )
-        blob = self.stream.tobytes()
-        for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            yield blob[start:end - 1]  # strip the trailing newline
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.stream.shape[0])
-
-
-def _gather(
-    stream: np.ndarray,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    indices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Compact (sub_stream, sub_starts) of the selected records."""
-    selected = lengths[indices]
-    count = indices.shape[0]
-    sub_starts = np.zeros(count, dtype=np.int64)
-    if count > 1:
-        np.cumsum(selected[:-1], out=sub_starts[1:])
-    total = int(selected.sum())
-    record_of = np.repeat(np.arange(count), selected)
-    offsets = np.arange(total, dtype=np.int64) - sub_starts[record_of]
-    positions = starts[indices][record_of] + offsets
-    return stream[positions], sub_starts
+def _gather(dataset: Dataset, indices: np.ndarray) -> Dataset:
+    """Compact sub-batch of the selected (ascending) records."""
+    selected = np.zeros(len(dataset), dtype=bool)
+    selected[indices] = True
+    stream = dataset.stream[np.repeat(selected, dataset.lengths)]
+    newlines = np.cumsum(dataset.lengths[indices]) - 1
+    return Dataset.from_buffer(
+        "kernel-subbatch", stream, record_starts(newlines)
+    )
 
 
 class KernelState:
     """Mutable per-batch state threaded through one kernel invocation."""
 
-    __slots__ = ("dataset", "plan", "stream", "starts", "lengths",
-                 "num_records", "active", "pending", "result", "full",
-                 "view", "cache", "fingerprint", "precomputed",
-                 "short_circuited", "steps_run", "steps_skipped")
+    __slots__ = ("dataset", "plan", "num_records", "active", "pending",
+                 "result", "full", "view", "cache", "fingerprint",
+                 "precomputed", "short_circuited", "steps_run",
+                 "steps_skipped")
 
     def __init__(self, dataset: Any, plan: KernelPlan) -> None:
         self.dataset = dataset
         self.plan = plan
-        self.stream = dataset.stream
-        self.starts = dataset.starts
-        total = self.stream.shape[0]
-        self.lengths = np.diff(
-            np.concatenate((self.starts, [total]))
-        )
         self.num_records = len(dataset)
         self.active = np.arange(self.num_records, dtype=np.int64)
         #: lazily applied rejections over ``active``: when a step
@@ -699,12 +654,7 @@ class CompiledBackend(Backend):
         count = min(SAMPLE_RECORDS, state.num_records)
         if count <= 0:
             return
-        # the head slice is contiguous: no gather needed
-        end = int(
-            state.starts[count]
-        ) if count < state.num_records else int(state.stream.shape[0])
-        sample = _SubBatch(state.stream[:end], state.starts[:count])
-        view = harness.DatasetView(sample)
+        view = harness.DatasetView(state.dataset.slice(0, count))
         cache: dict[Any, Any] = {}
         tracker = self.tracker()
         for step in kernel.plan.steps:
@@ -784,10 +734,9 @@ class CompiledBackend(Backend):
                 state.view = harness.DatasetView(state.dataset)
                 state.cache = {}
         else:
-            stream, starts = _gather(
-                state.stream, state.starts, state.lengths, state.active
+            state.view = harness.DatasetView(
+                _gather(state.dataset, state.active)
             )
-            state.view = harness.DatasetView(_SubBatch(stream, starts))
             state.cache = {}
 
     def string_bits(

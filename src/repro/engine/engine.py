@@ -82,15 +82,15 @@ class EngineConfig:
 
 
 class StreamBatch:
-    """Match results for one framed chunk of a stream."""
+    """Match results for one framed chunk (a columnar ``Dataset``)."""
 
-    __slots__ = ("index", "records", "matches",
+    __slots__ = ("index", "batch", "matches",
                  "records_seen", "bytes_seen", "accepted_seen")
 
-    def __init__(self, index, records, matches,
+    def __init__(self, index, batch, matches,
                  records_seen, bytes_seen, accepted_seen):
         self.index = index
-        self.records = records
+        self.batch = batch
         self.matches = matches
         #: cumulative totals up to and including this batch
         self.records_seen = records_seen
@@ -98,20 +98,21 @@ class StreamBatch:
         self.accepted_seen = accepted_seen
 
     @property
+    def records(self):
+        """Every record of this batch as ``bytes`` (built lazily)."""
+        return self.batch.records
+
+    @property
     def accepted(self):
         """The accepted records of this batch, in input order."""
-        return [
-            record
-            for record, match in zip(self.records, self.matches)
-            if match
-        ]
+        return self.batch.select(self.matches)
 
     def __len__(self):
-        return len(self.records)
+        return len(self.batch)
 
     def __repr__(self):
         return (
-            f"StreamBatch(#{self.index}, records={len(self.records)}, "
+            f"StreamBatch(#{self.index}, records={len(self.batch)}, "
             f"accepted={int(np.count_nonzero(self.matches))})"
         )
 
@@ -236,10 +237,8 @@ class FilterEngine:
 
     def _match_bits_pooled(self, predicate, records, backend_name):
         """Shard one batch across the resident pool (or ``None``)."""
-        record_list = getattr(records, "records", None)
-        if record_list is None:
-            record_list = list(records)
-        if len(record_list) < 2:
+        batch = as_dataset(records)
+        if len(batch) < 2:
             return None
         payload = self._picklable_payload(predicate)
         if payload is None:
@@ -252,7 +251,7 @@ class FilterEngine:
         except ReproError:
             return None
         parts = []
-        total = len(record_list)
+        total = len(batch)
         shards = min(pool.num_workers, total)
         try:
             submitted = 0
@@ -261,7 +260,7 @@ class FilterEngine:
                 hi = total * (index + 1) // shards
                 if lo == hi:
                     continue
-                session.submit(record_list[lo:hi])
+                session.submit(batch.slice(lo, hi))
                 submitted += 1
             for _ in range(submitted):
                 bits, _count = session.drain()
@@ -400,12 +399,12 @@ class FilterEngine:
     def _framed(self, source):
         framer = RecordFramer()
         for chunk in source:
-            records = framer.push(chunk)
-            if records:
-                yield records, framer
-        records = framer.flush()
-        if records:
-            yield records, framer
+            batch = framer.push(chunk)
+            if batch:
+                yield batch, framer
+        batch = framer.flush()
+        if batch:
+            yield batch, framer
 
     def _stream_target(self, predicate, chosen):
         """Resolve the predicate once per stream, not once per chunk.
@@ -429,13 +428,13 @@ class FilterEngine:
         predicate = self._stream_target(predicate, chosen)
         index = 0
         records_seen = bytes_seen = accepted_seen = 0
-        for records, framer in self._framed(source):
-            matches = chosen.match_bits(predicate, records)
-            records_seen += len(records)
+        for batch, framer in self._framed(source):
+            matches = chosen.match_bits(predicate, batch)
+            records_seen += len(batch)
             accepted_seen += int(np.count_nonzero(matches))
             bytes_seen = framer.bytes_consumed - framer.pending_bytes
-            yield StreamBatch(index, records, matches,
-                             records_seen, bytes_seen, accepted_seen)
+            yield StreamBatch(index, batch, matches,
+                              records_seen, bytes_seen, accepted_seen)
             index += 1
 
     def _picklable_payload(self, predicate):
@@ -541,21 +540,21 @@ class FilterEngine:
 
             def drain_one():
                 nonlocal index, records_seen, bytes_seen, accepted_seen
-                records, consumed_bytes = pending.pop(0)
+                batch, consumed_bytes = pending.pop(0)
                 matches, count = session.drain()
                 records_seen += count
                 accepted_seen += int(np.count_nonzero(matches))
                 bytes_seen = consumed_bytes
-                batch = StreamBatch(index, records, matches,
-                                    records_seen, bytes_seen,
-                                    accepted_seen)
+                result = StreamBatch(index, batch, matches,
+                                     records_seen, bytes_seen,
+                                     accepted_seen)
                 index += 1
-                return batch
+                return result
 
-            for records, framer in self._framed(source):
+            for batch, framer in self._framed(source):
                 consumed = framer.bytes_consumed - framer.pending_bytes
-                pending.append((records, consumed))
-                session.submit(records)
+                pending.append((batch, consumed))
+                session.submit(batch)
                 while session.in_flight >= session.max_in_flight:
                     yield drain_one()
             while session.in_flight:

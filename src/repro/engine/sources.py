@@ -182,9 +182,9 @@ class MmapSource(ChunkSource):
     resident memory flat no matter how large the corpus is.
 
     Windows are only valid until :meth:`close` (stream end, abandonment
-    or context-manager exit) — the engine's framer materialises records
-    out of each window before the next one is requested, so the normal
-    streaming path never observes an invalidated window.  Record
+    or context-manager exit) — the engine's framer copies each window
+    into its batch once, so a batch (even one the AtomCache keeps) never
+    pins the map or observes an invalidated window.  Record
     framing across window seams is byte-identical to any other source:
     the :class:`~repro.engine.framing.RecordFramer` carries partial
     records across window boundaries exactly as it does across read

@@ -4,12 +4,12 @@ With ``num_workers > 1`` the engine shards framed chunks across the
 workers of one :class:`ResidentWorkerPool`, spawned once per engine and
 kept alive across streams, passes and filter swaps:
 
-* framed chunk payloads are written into a ring of
-  ``multiprocessing.shared_memory`` slots (newline-terminated stream
-  bytes + record-boundary offsets); workers map the slot and rebuild
-  the record batch with **no pickle on the payload path**,
-  reconstructing the engine-batch ``Dataset`` (stream + starts)
-  directly from the shared buffer;
+* framed batches are written into a ring of
+  ``multiprocessing.shared_memory`` slots: the batch's record starts
+  and its newline-terminated stream, one copy each, with **no pickle
+  and no per-record work on the payload path**; a worker copies the
+  slot out once and evaluates a ``Dataset`` whose stream and starts
+  are views of that copy;
 * the same slots form the **result ring**: once a worker has copied
   the batch out, it overwrites the slot with a result frame — raw
   packed match bits, its cumulative counters and any newly computed
@@ -51,7 +51,9 @@ from multiprocessing import connection
 
 import numpy as np
 
+from ..data.corpus import Dataset
 from ..errors import ReproError, WorkerCrashError
+from .backends import as_dataset
 
 _HEADER_WORDS = 2  # (record count, payload bytes), int64 each
 _HEADER_BYTES = _HEADER_WORDS * 8
@@ -137,62 +139,38 @@ def _attach_slot(slot_name):
 def _write_batch(buf, records):
     """Serialise one framed batch into a slot buffer.
 
-    Layout: ``int64`` header (record count, payload bytes), ``int64``
-    record boundaries relative to the payload start (``count + 1``
-    entries; boundary *i*..*i+1* spans one newline-terminated record),
-    then the payload bytes themselves.
+    Layout: ``int64`` header (record count, payload bytes), the batch's
+    ``int64`` record starts, then its newline-terminated stream: one
+    copy of each, no per-record work.
     """
-    count = len(records)
-    payload_bytes = sum(len(record) + 1 for record in records)
+    batch = as_dataset(records)
+    count, payload_bytes = len(batch), batch.total_bytes
+    payload_start = _HEADER_BYTES + count * 8
     header = np.frombuffer(buf, dtype=np.int64, count=_HEADER_WORDS)
-    header[0] = count
-    header[1] = payload_bytes
-    bounds = np.frombuffer(
-        buf, dtype=np.int64, count=count + 1, offset=_HEADER_BYTES
-    )
-    offset = 0
-    payload_start = _HEADER_BYTES + (count + 1) * 8
-    for index, record in enumerate(records):
-        bounds[index] = offset
-        end = offset + len(record)
-        buf[payload_start + offset:payload_start + end] = record
-        buf[payload_start + end] = 0x0A
-        offset = end + 1
-    bounds[count] = offset
+    header[:] = (count, payload_bytes)
+    np.frombuffer(buf, np.int64, count, _HEADER_BYTES)[:] = batch.starts
+    buf[payload_start:payload_start + payload_bytes] = batch.stream
 
 
 def batch_slot_bytes(records):
     """Slot bytes one framed batch needs under :func:`_write_batch`."""
-    count = len(records)
-    payload_bytes = sum(len(record) + 1 for record in records)
-    return _HEADER_BYTES + (count + 1) * 8 + payload_bytes
+    batch = as_dataset(records)
+    return _HEADER_BYTES + len(batch) * 8 + batch.total_bytes
 
 
 def _read_batch(buf):
-    """Rebuild the engine-batch Dataset from a slot buffer.
+    """The engine batch in a slot buffer, as a :class:`Dataset`.
 
-    One copy out of the shared slot (the slot is recycled by the
-    parent as soon as our result lands), then zero-pickle record views
-    sliced off it; the Dataset reuses the payload as its concatenated
-    stream so no re-join happens worker-side.
+    One copy out of the shared slot (the slot is recycled by the parent
+    as soon as our result lands); the batch's stream and starts are
+    views of that copy.
     """
-    from ..data.corpus import Dataset
-
     header = np.frombuffer(buf, dtype=np.int64, count=_HEADER_WORDS)
     count, payload_bytes = int(header[0]), int(header[1])
-    bounds_end = _HEADER_BYTES + (count + 1) * 8
-    bounds = np.frombuffer(
-        buf, dtype=np.int64, count=count + 1, offset=_HEADER_BYTES
-    )
-    blob = bytes(buf[bounds_end:bounds_end + payload_bytes])
-    records = [
-        blob[start:end - 1]
-        for start, end in zip(bounds.tolist(), bounds[1:].tolist())
-    ]
-    dataset = Dataset("engine-batch", records)
-    dataset._stream = np.frombuffer(blob, dtype=np.uint8)
-    dataset._starts = np.array(bounds[:-1], dtype=np.int64)
-    return dataset
+    payload_start = _HEADER_BYTES + count * 8
+    frame = np.array(buf[:payload_start + payload_bytes], dtype=np.uint8)
+    starts = frame[_HEADER_BYTES:payload_start].view(np.int64)
+    return Dataset.from_buffer("engine-batch", frame[payload_start:], starts)
 
 
 # -- result frames (the return leg of the shared-memory ring) ----------------
@@ -789,7 +767,7 @@ class ResidentWorkerPool:
 
     def _submit(self, records):
         self._require_open()
-        records = list(records)
+        batch = as_dataset(records)
         seq = self._next_seq
         self._next_seq += 1
         live = self._live()
@@ -801,19 +779,19 @@ class ResidentWorkerPool:
                     "no live resident workers to dispatch to"
                 )
         handle = min(live, key=lambda h: len(h.assigned))
-        entry = {"records": records, "worker": handle, "slot": None}
+        entry = {"records": batch, "worker": handle, "slot": None}
         slot = None
-        if batch_slot_bytes(records) <= self.slot_bytes:
+        if batch_slot_bytes(batch) <= self.slot_bytes:
             with self._ring_lock:
                 if self._free:
                     slot = self._free.pop()
         if slot is not None:
-            _write_batch(slot.shm.buf, records)
+            _write_batch(slot.shm.buf, batch)
             entry["slot"] = slot
             handle.task_queue.put(("batch", seq, slot.shm.name))
         else:
             self.fallback_batches += 1
-            handle.task_queue.put(("batch-pickled", seq, records))
+            handle.task_queue.put(("batch-pickled", seq, batch))
         handle.assigned.add(seq)
         self._inflight[seq] = entry
         self._order.append(seq)

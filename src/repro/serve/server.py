@@ -134,11 +134,11 @@ class EnginePool:
         return stats
 
 
-def _evaluate_batch(engine, predicate, records):
+def _evaluate_batch(engine, predicate, batch):
     """Executor-side batch evaluation with cache-delta attribution."""
     cache = engine.atom_cache
     before = (cache.hits, cache.misses) if cache is not None else None
-    matches = engine.match_bits(predicate, records)
+    matches = engine.match_bits(predicate, batch)
     delta = None
     if before is not None:
         delta = (cache.hits - before[0], cache.misses - before[1])
@@ -297,9 +297,9 @@ class Session:
                     "CHUNK before QUERY: submit a filter expression "
                     "before streaming data"
                 )
-            records = self.framer.push(payload)
-            if records:
-                await self._evaluate_and_reply(records)
+            batch = self.framer.push(payload)
+            if batch:
+                await self._evaluate_and_reply(batch)
         finally:
             await self.gateway._release(nbytes)
 
@@ -350,24 +350,22 @@ class Session:
         self.framer = None
         self.predicate = None
 
-    async def _evaluate_and_reply(self, records):
+    async def _evaluate_and_reply(self, batch):
         gateway = self.gateway
         engine = await gateway.pool.acquire()
         try:
             matches, delta = await asyncio.get_running_loop() \
                 .run_in_executor(
                     gateway._executor, _evaluate_batch,
-                    engine, self.predicate, records,
+                    engine, self.predicate, batch,
                 )
         finally:
             gateway.pool.release(engine)
-        accepted = [
-            record for record, match in zip(records, matches) if match
-        ]
-        self.records_seen += len(records)
+        accepted = batch.select(matches)
+        self.records_seen += len(batch)
         self.accepted_seen += len(accepted)
         self.batches_sent += 1
-        self.tenant.evaluated(len(records), len(accepted), delta)
+        self.tenant.evaluated(len(batch), len(accepted), delta)
         await self._send(protocol.encode_frame(
             protocol.RESULT, protocol.encode_result(matches, accepted)
         ))

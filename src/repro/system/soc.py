@@ -149,7 +149,7 @@ class RawFilterSoC:
 
         assignments = self._partition(dataset)
         per_lane_bytes = [
-            sum(len(dataset.records[i]) + 1 for i in record_indices)
+            int(dataset.lengths[record_indices].sum())
             for record_indices in assignments
         ]
 

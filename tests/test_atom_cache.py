@@ -7,6 +7,7 @@ corpora and query sets; the policy tests pin the LRU/fingerprint
 behaviour the bound relies on.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.design_space import DesignSpace
 from repro.data import Dataset, load_dataset
 from repro.data.riotbench import Query, RangeCondition
 from repro.engine import AtomCache, FilterEngine, as_atom_cache
+from repro.engine.atom_cache import dataset_fingerprint
 from repro.errors import ReproError
 
 ATTRIBUTES = ("temperature", "humidity", "light", "dust",
@@ -212,6 +214,34 @@ class TestCachePolicy:
         engine.match_bits(expr, Dataset("b", list(records)))
         assert engine.atom_cache.misses == misses  # pure hits
         assert engine.atom_cache.hits > 0
+
+    def test_fingerprint_is_the_copying_digest(self):
+        """Hashing the buffer in place gives the digest the copying
+        ``tobytes()`` formula gave, so CacheStore logs keyed by it stay
+        valid: for a framed batch (a view into its chunk), a record
+        slice, a kernel gather and a non-contiguous stream."""
+        from repro.engine.compiled import _gather
+        from repro.engine.framing import RecordFramer
+
+        corpus = load_dataset("smartcity", 60, seed=4)
+        payload = corpus.stream.tobytes()
+        framed = RecordFramer().push(payload[:4000])
+        strided = np.frombuffer(payload, np.uint8)[:400:2]
+        batches = [
+            corpus,
+            framed,
+            corpus.slice(7, 30),
+            _gather(corpus, np.array([3, 11, 12, 40])),
+            Dataset.from_buffer("strided", strided, np.zeros(1, np.int64)),
+        ]
+        assert not strided.flags.c_contiguous
+        for batch in batches:
+            stream = batch.stream
+            old = (
+                int(stream.shape[0]),
+                hashlib.blake2b(stream.tobytes(), digest_size=16).digest(),
+            )
+            assert dataset_fingerprint(batch) == old
 
     def test_hit_miss_counters_via_engine_stats(self):
         dataset = load_dataset("smartcity", 80)

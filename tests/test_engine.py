@@ -46,7 +46,7 @@ class TestRecordFramer:
         data = b"".join(r + b"\n" for r in self.RECORDS)
         for cut in range(len(data) + 1):
             framer = RecordFramer()
-            records = framer.push(data[:cut])
+            records = list(framer.push(data[:cut]))
             records += framer.push(data[cut:])
             records += framer.flush()
             assert records == self.RECORDS, f"cut at {cut}"
@@ -62,27 +62,45 @@ class TestRecordFramer:
 
     def test_empty_chunks_are_noops(self):
         framer = RecordFramer()
-        assert framer.push(b"") == []
-        assert framer.push(b'{"a":1}\n') == [b'{"a":1}']
-        assert framer.push(b"") == []
-        assert framer.flush() == []
+        assert framer.push(b"").records == []
+        assert framer.push(b'{"a":1}\n').records == [b'{"a":1}']
+        assert framer.push(b"").records == []
+        assert framer.flush().records == []
 
     def test_missing_trailing_newline_flushes_last_record(self):
         framer = RecordFramer()
-        assert framer.push(b'{"a":1}\n{"b":2}') == [b'{"a":1}']
-        assert framer.flush() == [b'{"b":2}']
+        assert framer.push(b'{"a":1}\n{"b":2}').records == [b'{"a":1}']
+        assert framer.flush().records == [b'{"b":2}']
         assert framer.records_emitted == 2
 
     def test_blank_lines_and_crlf(self):
         framer = RecordFramer()
         records = framer.push(b'{"a":1}\r\n\n  \n{"b":2}\r\n')
-        assert records == [b'{"a":1}', b'{"b":2}']
-        assert framer.flush() == []
+        assert records.records == [b'{"a":1}', b'{"b":2}']
+        assert framer.flush().records == []
 
     def test_oversized_unterminated_record_rejected(self):
         framer = RecordFramer(max_record_bytes=8)
         with pytest.raises(ReproError):
             framer.push(b"x" * 16)
+
+    def test_oversized_terminated_record_rejected(self):
+        """The cap holds for a record that arrives with its newline."""
+        framer = RecordFramer(max_record_bytes=8)
+        with pytest.raises(ReproError, match="max_record_bytes"):
+            framer.push(b"x" * 16 + b"\n")
+
+    def test_oversized_record_across_seam_rejected(self):
+        """...and for one assembled from two chunks under the cap."""
+        framer = RecordFramer(max_record_bytes=8)
+        assert len(framer.push(b"x" * 6)) == 0
+        with pytest.raises(ReproError, match="max_record_bytes"):
+            framer.push(b"x" * 6 + b"\n")
+
+    def test_record_at_the_cap_is_accepted(self):
+        framer = RecordFramer(max_record_bytes=8)
+        assert framer.push(b"x" * 4).records == []
+        assert framer.push(b"x" * 4 + b"\n").records == [b"x" * 8]
 
     def test_non_bytes_chunk_rejected(self):
         with pytest.raises(ReproError):
