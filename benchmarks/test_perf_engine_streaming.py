@@ -28,7 +28,7 @@ def _corpus():
 
 def _stream_once(engine, expr, payload, backend=None):
     last = None
-    for last in engine.stream_file(
+    for last in engine.stream(
         expr, io.BytesIO(payload), backend=backend
     ):
         pass

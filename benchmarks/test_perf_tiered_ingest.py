@@ -1,19 +1,12 @@
 """Larger-than-memory streaming: flat RSS over a capped, tiered cache.
 
-The tentpole claim of the mmap + readahead + disk-tier stack, measured
-end to end:
-
-* a corpus **many times larger than the AtomCache byte cap** streams
-  through mmap windows with the LRU demoting cold masks to the
-  :class:`~repro.engine.cache_store.CacheStore` — peak resident memory
-  stays flat (within 15%) relative to a small-corpus run, while the
-  second pass is served from **promoted** disk entries instead of
-  re-evaluating;
-* :class:`~repro.engine.sources.ReadaheadSource` overlaps ingest with
-  evaluation: over a latency-bound source (the realistic shape for a
-  corpus that does not fit in the page cache — NFS, spinning disk,
-  object storage), prefetch hides the per-chunk ingest latency behind
-  filter evaluation, beating the plain serial-ingest pass.
+The claim of the file-ingest + disk-tier stack, measured end to end: a
+corpus **many times larger than the AtomCache byte cap** streams
+through :class:`~repro.engine.sources.FileSource` reads with the LRU
+demoting cold masks to the :class:`~repro.engine.cache_store.CacheStore`
+— peak resident memory stays flat (within 15%) relative to a
+small-corpus run, while the second pass is served from **promoted**
+disk entries instead of re-evaluating.
 
 Machine-readable results land in ``results/BENCH_tiered.json``.
 """
@@ -28,12 +21,8 @@ from common import write_json_result, write_result
 from repro.data import write_ndjson_corpus
 from repro.engine import (
     AtomCache,
-    CacheStore,
     FileSource,
     FilterEngine,
-    IterableSource,
-    MmapSource,
-    ReadaheadSource,
 )
 from repro.eval.report import render_table
 
@@ -44,8 +33,6 @@ LARGE_CORPUS_BYTES = 16 << 20
 #: the LRU must churn through the disk tier; the corpus is ~1000x the
 #: cap, comfortably past the >= 4x acceptance floor
 CACHE_CAP_BYTES = 16 * 1024
-#: simulated per-chunk ingest latency for the overlap benchmark
-INGEST_LATENCY_SECONDS = 0.02
 
 
 def _effective_cores():
@@ -113,10 +100,10 @@ def test_flat_rss_over_tiered_cache(tmp_path):
         )
         # cold + warm, mirroring the large run's two passes
         _stream_pass(
-            small_engine, MmapSource(small_path, CHUNK_BYTES)
+            small_engine, FileSource(small_path, CHUNK_BYTES)
         )
         small_pass = _stream_pass(
-            small_engine, MmapSource(small_path, CHUNK_BYTES)
+            small_engine, FileSource(small_path, CHUNK_BYTES)
         )
     small_peak = _peak_rss_bytes()
     results["small"] = {**small_info, **small_pass,
@@ -132,8 +119,8 @@ def test_flat_rss_over_tiered_cache(tmp_path):
         cache=AtomCache(max_bytes=CACHE_CAP_BYTES),
         cache_store=str(tmp_path / "large-store"),
     )
-    cold = _stream_pass(engine, MmapSource(large_path, CHUNK_BYTES))
-    warm = _stream_pass(engine, MmapSource(large_path, CHUNK_BYTES))
+    cold = _stream_pass(engine, FileSource(large_path, CHUNK_BYTES))
+    warm = _stream_pass(engine, FileSource(large_path, CHUNK_BYTES))
     large_peak = _peak_rss_bytes()
     cache = engine.atom_cache
     cache_stats = cache.stats()
@@ -196,113 +183,3 @@ def test_flat_rss_over_tiered_cache(tmp_path):
         f"warm pass ({warm['seconds']:.3f}s) not faster than cold "
         f"({cold['seconds']:.3f}s)"
     )
-
-
-class _ThrottledSource(IterableSource):
-    """A chunk source with fixed per-chunk latency — the shape of any
-    ingest that is not already in the page cache."""
-
-    name = "throttled"
-
-    def __init__(self, pieces, latency):
-        super().__init__(pieces)
-        self.latency = latency
-
-    def chunks(self):
-        for chunk in super().chunks():
-            time.sleep(self.latency)
-            yield chunk
-
-
-def test_readahead_overlaps_ingest_with_evaluation(tmp_path):
-    """Prefetch hides ingest latency behind evaluation.
-
-    The producer thread sleeps through the per-chunk latency while the
-    consumer evaluates the previous chunk (sleeping threads do not
-    contend for the GIL), so the win is deterministic: the serial pass
-    pays latency + evaluation per chunk, the readahead pass pays
-    max(latency, evaluation).
-    """
-    path = tmp_path / "corpus.ndjson"
-    info = write_ndjson_corpus(
-        path, target_bytes=SMALL_CORPUS_BYTES, seed=31
-    )
-    payload = path.read_bytes()
-    pieces = [
-        payload[offset:offset + CHUNK_BYTES]
-        for offset in range(0, len(payload), CHUNK_BYTES)
-    ]
-
-    def run(wrap):
-        engine = FilterEngine(chunk_bytes=CHUNK_BYTES)
-        source = _ThrottledSource(list(pieces), INGEST_LATENCY_SECONDS)
-        if wrap:
-            source = ReadaheadSource(source, depth=4)
-        result = _stream_pass(engine, source)
-        return result, source
-
-    serial, _ = run(wrap=False)
-    overlapped, readahead = run(wrap=True)
-    assert overlapped["records"] == serial["records"] == info["records"]
-    assert readahead.stats()["peak_depth"] >= 1
-
-    # the same comparison over the real file (page-cache-fast ingest,
-    # so the overlap win shrinks to the noise floor on small hosts —
-    # reported always, asserted only as the latency-bound result)
-    file_pass = _stream_pass(
-        FilterEngine(chunk_bytes=CHUNK_BYTES),
-        FileSource(str(path), CHUNK_BYTES),
-    )
-    file_readahead_pass = _stream_pass(
-        FilterEngine(chunk_bytes=CHUNK_BYTES),
-        ReadaheadSource(FileSource(str(path), CHUNK_BYTES), depth=4),
-    )
-
-    write_result(
-        "perf_readahead_overlap",
-        render_table(
-            ["Ingest", "Seconds", "MB/s"],
-            [
-                [f"throttled serial ({INGEST_LATENCY_SECONDS * 1e3:.0f}"
-                 "ms/chunk)",
-                 f"{serial['seconds']:.3f}",
-                 f"{serial['bytes_per_second'] / 1e6:.1f}"],
-                ["throttled + readahead",
-                 f"{overlapped['seconds']:.3f}",
-                 f"{overlapped['bytes_per_second'] / 1e6:.1f}"],
-                ["file serial", f"{file_pass['seconds']:.3f}",
-                 f"{file_pass['bytes_per_second'] / 1e6:.1f}"],
-                ["file + readahead",
-                 f"{file_readahead_pass['seconds']:.3f}",
-                 f"{file_readahead_pass['bytes_per_second'] / 1e6:.1f}"],
-            ],
-            title=(
-                f"Readahead overlap over {info['bytes']} bytes "
-                f"({EFFECTIVE_CORES} effective cores)"
-            ),
-        ),
-    )
-    write_json_result("readahead_overlap", {
-        "effective_cores": EFFECTIVE_CORES,
-        "chunk_latency_seconds": INGEST_LATENCY_SECONDS,
-        "throttled_serial": serial,
-        "throttled_readahead": overlapped,
-        "file_serial": file_pass,
-        "file_readahead": file_readahead_pass,
-    })
-
-    # the headline bar: readahead beats serial ingest when ingest has
-    # any real latency to hide
-    assert overlapped["seconds"] < serial["seconds"] * 0.97, (
-        f"readahead ({overlapped['seconds']:.3f}s) did not beat "
-        f"serial ingest ({serial['seconds']:.3f}s)"
-    )
-    if EFFECTIVE_CORES >= 2:
-        # with a core to spare, readahead over a real file must at
-        # least not regress ingest throughput
-        assert (file_readahead_pass["seconds"]
-                <= file_pass["seconds"] * 1.25), (
-            f"file readahead ({file_readahead_pass['seconds']:.3f}s) "
-            f"regressed over plain file ingest "
-            f"({file_pass['seconds']:.3f}s)"
-        )

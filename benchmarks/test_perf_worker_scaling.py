@@ -73,7 +73,7 @@ def _stream_seconds(engine, expr, payload):
     last = None
     for _ in range(TIMING_ROUNDS):
         start = time.perf_counter()
-        for last in engine.stream_file(expr, io.BytesIO(payload)):
+        for last in engine.stream(expr, io.BytesIO(payload)):
             pass
         best = min(best, time.perf_counter() - start)
     return best, last
@@ -101,7 +101,7 @@ def test_resident_pool_cold_and_warm_reuse():
     def one_pass(engine):
         start = time.perf_counter()
         last = None
-        for last in engine.stream_file(expr, io.BytesIO(payload)):
+        for last in engine.stream(expr, io.BytesIO(payload)):
             pass
         return time.perf_counter() - start, last
 
@@ -218,7 +218,7 @@ def test_parallel_pass_warms_serial_reread():
     with FilterEngine(
         chunk_bytes=CHUNK_BYTES, num_workers=2, cache=cache,
     ) as parallel:
-        for _ in parallel.stream_file(expr, io.BytesIO(payload)):
+        for _ in parallel.stream(expr, io.BytesIO(payload)):
             pass
     worker_stats = parallel.stats()["workers"]
     assert worker_stats["merged_entries"] > 0

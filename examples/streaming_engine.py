@@ -43,7 +43,7 @@ def main():
 
     batches = 0
     accepted = total = 0
-    for batch in engine.stream_file(expr, io.BytesIO(payload)):
+    for batch in engine.stream(expr, io.BytesIO(payload)):
         batches += 1
         accepted = batch.accepted_seen
         total = batch.records_seen
@@ -75,13 +75,13 @@ def main():
 
     # parallel streaming: resident worker pool, warm-cache workers
     warm = FilterEngine(chunk_bytes=CHUNK_BYTES, cache=True)
-    for batch in warm.stream_file(expr, io.BytesIO(payload)):
+    for batch in warm.stream(expr, io.BytesIO(payload)):
         pass  # serial warm pass fills the AtomCache
     parallel_accepted = 0
     with FilterEngine(
         chunk_bytes=CHUNK_BYTES, num_workers=2, cache=warm.atom_cache,
     ) as parallel:
-        for batch in parallel.stream_file(expr, io.BytesIO(payload)):
+        for batch in parallel.stream(expr, io.BytesIO(payload)):
             parallel_accepted = batch.accepted_seen
     workers = parallel.stats()["workers"]
     print(f"parallel ({workers['num_workers']} warm workers): "

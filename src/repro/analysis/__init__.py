@@ -11,8 +11,7 @@ wired into the engine itself):
 * :mod:`~repro.analysis.lockcheck` — ``# guarded-by:``-annotation-
   driven lock-discipline checking over the codebase's shared state;
 * :mod:`~repro.analysis.lifecycle` — resource-lifecycle rules
-  (unclosed chunk sources, escaped memoryviews, shm without a
-  finalize path).
+  (unclosed chunk sources, shm without a finalize path).
 """
 
 from ..errors import KernelVerificationError

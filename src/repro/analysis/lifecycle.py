@@ -1,6 +1,6 @@
 """Resource-lifecycle linting for the hazards this repo lives with.
 
-Three rules, each encoding a failure mode the engine has real
+Two rules, each encoding a failure mode the engine has real
 machinery to prevent:
 
 * ``source-close`` — a :class:`~repro.engine.sources.ChunkSource`
@@ -8,15 +8,8 @@ machinery to prevent:
   the same function: a ``with`` statement, a ``.close()`` call,
   a ``return``/``yield`` (ownership transfer to the caller), storage
   on an object/container, or being passed onward as a call argument
-  (transfer to the callee).  Otherwise the file handle / mmap /
-  prefetch thread it owns leaks.
-
-* ``escaped-memoryview`` — a ``memoryview`` (or a slice of one) stored
-  onto ``self`` or appended to an attribute pins its exporting buffer;
-  for :class:`~repro.engine.sources.MmapSource` windows that means the
-  mmap cannot close (``BufferError``).  Classes that *track* their
-  views and ``release()`` them in a teardown path are allowed — the
-  rule looks for a ``.release(`` call anywhere in the class.
+  (transfer to the callee).  Otherwise the file handle, socket or
+  event loop it owns leaks.
 
 * ``shm-finalize`` — a class creating ``SharedMemory(create=True)``
   segments must have a finalize path: either a
@@ -37,8 +30,7 @@ from .findings import Finding
 
 #: constructors whose result owns an OS resource until closed
 SOURCE_CONSTRUCTORS = frozenset({
-    "FileSource", "MmapSource", "SocketSource", "ReadaheadSource",
-    "AsyncSource",
+    "FileSource", "SocketSource", "AsyncSource",
 })
 
 SUPPRESS_RE = re.compile(r"#\s*lifecycle-ok\b")
@@ -153,76 +145,6 @@ def _check_sources(
 
 
 # ---------------------------------------------------------------------------
-# escaped-memoryview
-# ---------------------------------------------------------------------------
-
-def _class_releases_views(cls: ast.ClassDef) -> bool:
-    for node in ast.walk(cls):
-        if _call_name(node) == "release":
-            return True
-    return False
-
-
-def _check_memoryviews(
-    cls: ast.ClassDef, path: str, lines: list[str],
-    findings: list[Finding],
-) -> None:
-    if _class_releases_views(cls):
-        return
-    for func in cls.body:
-        if not isinstance(
-            func, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            continue
-        view_locals: set[str] = set()
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            is_view = _call_name(value) == "memoryview" or (
-                isinstance(value, ast.Subscript)
-                and isinstance(value.value, ast.Name)
-                and value.value.id in view_locals
-            )
-            if is_view and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    view_locals.add(target.id)
-                elif (
-                    isinstance(target, ast.Attribute)
-                    and not _suppressed(lines, node.lineno)
-                ):
-                    findings.append(Finding(
-                        "escaped-memoryview", path, node.lineno,
-                        f"{cls.name}.{func.name}",
-                        "memoryview stored on an attribute in a "
-                        "class with no release() path — the "
-                        "exporting buffer can never close",
-                    ))
-        if not view_locals:
-            continue
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            if _call_name(node) != "append":
-                continue
-            if not any(
-                isinstance(arg, ast.Name) and arg.id in view_locals
-                for arg in node.args
-            ):
-                continue
-            if _suppressed(lines, node.lineno):
-                continue
-            findings.append(Finding(
-                "escaped-memoryview", path, node.lineno,
-                f"{cls.name}.{func.name}",
-                "memoryview appended to a container in a class "
-                "with no release() path — the exporting buffer "
-                "can never close",
-            ))
-
-
-# ---------------------------------------------------------------------------
 # shm-finalize
 # ---------------------------------------------------------------------------
 
@@ -283,7 +205,6 @@ def check_source(source: str, path: str) -> list[Finding]:
     findings: list[Finding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            _check_memoryviews(node, path, lines, findings)
             _check_shm(node, path, lines, findings)
     scopes: list[tuple[str, ast.AST]] = [("<module>", tree)]
     for node in ast.walk(tree):

@@ -58,8 +58,6 @@ from .engine import (
     AtomCache,
     FileSource,
     FilterEngine,
-    MmapSource,
-    ReadaheadSource,
     SocketSource,
 )
 from .errors import QueryError, ReproError
@@ -299,15 +297,8 @@ def _parse_endpoint(text):
 def _open_filter_source(args, chunk_bytes):
     if args.source == "socket":
         return SocketSource(_parse_endpoint(args.input), chunk_bytes)
-    if args.source == "mmap":
-        if args.input == "-":
-            raise ReproError("--source mmap needs a file path, not '-'")
-        return MmapSource(args.input, chunk_bytes)
     handle = sys.stdin.buffer if args.input == "-" else args.input
-    source = FileSource(handle, chunk_bytes)
-    if args.source == "readahead":
-        source = ReadaheadSource(source, chunk_bytes=chunk_bytes)
-    return source
+    return FileSource(handle, chunk_bytes)
 
 
 def _print_worker_stats(engine):
@@ -363,30 +354,18 @@ def _bench_source(kind, ndjson, chunk_bytes):
     """One streaming pass over the corpus through the chosen ingest.
 
     ``memory`` streams in-process chunks, ``file`` reads a real
-    temporary NDJSON file, ``mmap`` maps one (zero-copy windows),
-    ``readahead`` wraps the file read in a bounded prefetch thread
-    (ingest overlapped with evaluation), ``socket`` receives the
-    corpus from a feeder thread over a local socket pair — so the
-    benchmark measures the source layer actually in use, not only
-    evaluation.
+    temporary NDJSON file, ``socket`` receives the corpus from a
+    feeder thread over a local socket pair — so the benchmark measures
+    the source layer actually in use, not only evaluation.
     """
     if kind == "memory":
         yield FileSource(io.BytesIO(ndjson), chunk_bytes)
-    elif kind in ("file", "mmap", "readahead"):
+    elif kind == "file":
         with tempfile.NamedTemporaryFile(suffix=".ndjson") as handle:
             handle.write(ndjson)
             handle.flush()
-            if kind == "mmap":
-                source = MmapSource(handle.name, chunk_bytes)
-            else:
-                source = FileSource(handle.name, chunk_bytes)
-                if kind == "readahead":
-                    source = ReadaheadSource(source,
-                                             chunk_bytes=chunk_bytes)
-            try:
+            with FileSource(handle.name, chunk_bytes) as source:
                 yield source
-            finally:
-                source.close()
     elif kind == "socket":
         feeder_end, engine_end = socket.socketpair()
 
@@ -463,6 +442,23 @@ def _cache_delta(before, after):
     }
 
 
+#: compiled-backend counters that count events (the rest are gauges)
+_COMPILED_COUNTERS = (
+    "kernels_compiled", "kernels_reused", "atoms_short_circuited",
+    "fallbacks",
+)
+
+
+def _compiled_delta(before, after):
+    """Per-pass movement of the compiled backend's event counters."""
+    if after is None:
+        return None
+    delta = dict(after)
+    for key in _COMPILED_COUNTERS:
+        delta[key] = after[key] - (before[key] if before else 0)
+    return delta
+
+
 def cmd_bench(args):
     expr = parse_filter_expression(args.expression)
     dataset = load_dataset(args.dataset, args.records, seed=args.seed)
@@ -483,7 +479,7 @@ def cmd_bench(args):
     try:
         for backend in backends:
             for repeat in range(args.repeat):
-                cache_before = engine.stats()["cache"]
+                before = engine.stats()
                 rss_readings.append(_peak_rss_bytes() or 0)
                 scoped = _reset_peak_rss()
                 with _bench_source(
@@ -537,13 +533,16 @@ def cmd_bench(args):
                     "peak_rss_bytes": peak,
                     "peak_rss_scope": "pass" if scoped else "lifetime",
                     "cache_delta": _cache_delta(
-                        cache_before, stats["cache"]
+                        before["cache"], stats["cache"]
                     ),
                     "workers": stats["workers"],
-                    # cumulative fused-kernel counters as of this pass
+                    # this pass's fused-kernel counters; null on the
+                    # rows of other backends
                     "compiled": (
-                        dict(stats["compiled"])
-                        if stats["compiled"] is not None else None
+                        _compiled_delta(
+                            before["compiled"], stats["compiled"]
+                        )
+                        if backend.strip() == "compiled" else None
                     ),
                 })
     finally:
@@ -826,11 +825,9 @@ def build_arg_parser():
     )
     filter_cmd.add_argument(
         "--source", default="file",
-        choices=["file", "mmap", "readahead", "socket"],
-        help="ingest layer: read --input as a file/stdin, map it "
-             "(zero-copy mmap windows), wrap the file read in a "
-             "bounded prefetch thread, or connect to it as a "
-             "host:port socket endpoint",
+        choices=["file", "socket"],
+        help="ingest layer: read --input as a file/stdin, or "
+             "connect to it as a host:port socket endpoint",
     )
     filter_cmd.add_argument(
         "--cache", action=argparse.BooleanOptionalAction,
@@ -867,11 +864,9 @@ def build_arg_parser():
     )
     bench.add_argument(
         "--source", default="memory",
-        choices=["memory", "file", "mmap", "readahead", "socket"],
+        choices=["memory", "file", "socket"],
         help="ingest layer to benchmark: in-memory chunks, a real "
-             "temporary file (plain reads, zero-copy mmap windows, or "
-             "readahead-prefetched reads), or a local socket fed by "
-             "a thread",
+             "temporary file, or a local socket fed by a thread",
     )
     bench.add_argument(
         "--json", default=None, metavar="PATH",

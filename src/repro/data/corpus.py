@@ -111,25 +111,6 @@ class Dataset:
     def total_bytes(self):
         return int(self.stream.shape[0])
 
-    @classmethod
-    def from_ndjson(cls, path, name=None, validate=True):
-        """Load a dataset from a newline-delimited JSON file.
-
-        With ``validate`` (default) every record is parsed eagerly by the
-        strict parser, so malformed lines fail loudly at load time rather
-        than during evaluation.
-        """
-        records = []
-        with open(path, "rb") as handle:
-            for line in handle:
-                record = line.rstrip(b"\r\n")
-                if record.strip():
-                    records.append(record)
-        dataset = cls(name or str(path), records)
-        if validate:
-            dataset.parsed  # noqa: B018 - force eager strict parsing
-        return dataset
-
     def subset(self, indices):
         parsed = None
         if self._parsed is not None:

@@ -20,12 +20,10 @@ The engine also executes **chunked streams** behind two pluggable
 layers that model the paper's ingest/evaluation boundary explicitly:
 
 * :class:`~repro.engine.sources.ChunkSource` — where bytes come from
-  (:class:`FileSource`, :class:`IterableSource`, :class:`SocketSource`,
-  an :class:`AsyncSource` adapter, the zero-copy :class:`MmapSource`
-  for larger-than-memory regular files, and a :class:`ReadaheadSource`
-  wrapper overlapping ingest with evaluation through a bounded
-  prefetch thread), with per-source chunk/byte accounting; records are
-  reframed across chunk seams by
+  (:class:`FileSource` for paths, handles and pipes at any size,
+  :class:`IterableSource`, :class:`SocketSource` and an
+  :class:`AsyncSource` adapter), with per-source chunk/byte
+  accounting; records are reframed across chunk seams by
   :class:`repro.engine.framing.RecordFramer` and evaluated in bounded
   memory;
 * :class:`~repro.engine.transport.ResidentWorkerPool` — how framed
@@ -79,15 +77,12 @@ from .engine import (
     default_engine,
     scalar_match_bits,
 )
-from .framing import RecordFramer, iter_file_chunks
+from .framing import RecordFramer
 from .sources import (
-    MMAP_THRESHOLD_BYTES,
     AsyncSource,
     ChunkSource,
     FileSource,
     IterableSource,
-    MmapSource,
-    ReadaheadSource,
     SocketSource,
     as_chunk_source,
     ingest_dataset,
@@ -120,14 +115,10 @@ __all__ = [
     "default_engine",
     "scalar_match_bits",
     "RecordFramer",
-    "iter_file_chunks",
-    "MMAP_THRESHOLD_BYTES",
     "AsyncSource",
     "ChunkSource",
     "FileSource",
     "IterableSource",
-    "MmapSource",
-    "ReadaheadSource",
     "SocketSource",
     "as_chunk_source",
     "ingest_dataset",

@@ -37,7 +37,7 @@ from .backends import (
 )
 from .compiled import CompiledBackend, SelectivityTracker
 from .framing import RecordFramer
-from .sources import ChunkSource, FileSource, as_chunk_source, ingest_dataset
+from .sources import ChunkSource, as_chunk_source, ingest_dataset
 from .transport import ResidentWorkerPool, resolve_mp_context
 
 DEFAULT_CHUNK_BYTES = 1 << 20
@@ -378,23 +378,6 @@ class FilterEngine:
                 "shipped to worker processes; streaming serially"
             )
         yield from self._stream_serial(predicate, source, backend)
-
-    def stream_file(self, predicate, handle, backend=None):
-        """Stream a binary file object (or path) through the engine.
-
-        A path is opened by the engine and closed when the stream
-        finishes (or is abandoned); handles stay owned by the caller.
-        """
-        source = FileSource(handle, self.config.chunk_bytes)
-
-        def generate():
-            try:
-                yield from self.stream(predicate, source,
-                                       backend=backend)
-            finally:
-                source.close()
-
-        return generate()
 
     def _framed(self, source):
         framer = RecordFramer()

@@ -35,14 +35,16 @@ class RecordFramer:
     ``push`` accepts one chunk and returns the batch of records it
     completed; ``flush`` returns the final unterminated record (a stream
     without a trailing newline still yields its last record).  Blank and
-    whitespace-only lines are skipped, and a ``\\r`` before the newline
-    is stripped, matching :meth:`repro.data.Dataset.from_ndjson`.
+    whitespace-only lines are skipped, and one ``\\r`` before the newline
+    is stripped (so ``b"{}\\r\\r\\n"`` frames as ``b"{}\\r"``).  This is
+    the repo's one NDJSON splitter: files, sockets and
+    :func:`~repro.engine.sources.ingest_dataset` all frame through it.
 
-    Like the splitter, it makes no per-record objects: one newline
+    Like the hardware splitter, it makes no per-record objects: one newline
     search over a ``uint8`` view finds the records.  A ``bytes`` chunk's
     batch is a slice of it, save the seam (carried tail + completed
-    lines), concatenated once; other chunk types (mmap windows) are
-    copied once, so a retained batch never pins the caller's buffer.
+    lines), concatenated once; ``bytearray`` and ``memoryview`` chunks
+    are copied once, so a retained batch never pins the caller's buffer.
     Only a chunk with blank lines or CRs pays a compaction copy.  A line
     over ``max_record_bytes`` (newline not counted) raises ReproError.
     """
@@ -121,28 +123,3 @@ class RecordFramer:
     def pending_bytes(self):
         """Bytes buffered awaiting their newline (seam carry-over)."""
         return len(self._tail)
-
-
-def iter_file_chunks(handle, chunk_bytes):
-    """Yield chunks of at most ``chunk_bytes`` from a binary handle.
-
-    Seekable handles (regular files) are read in full chunks for
-    maximum vectorisation width.  Non-seekable handles (pipes,
-    sockets, ``tail -f``-style producers) use ``read1`` when available
-    so that whatever bytes have arrived are processed immediately
-    instead of blocking until a full chunk accumulates.
-    """
-    if chunk_bytes <= 0:
-        raise ReproError("chunk_bytes must be positive")
-    read = handle.read
-    try:
-        seekable = handle.seekable()
-    except (AttributeError, OSError):
-        seekable = False
-    if not seekable and hasattr(handle, "read1"):
-        read = handle.read1
-    while True:
-        chunk = read(chunk_bytes)
-        if not chunk:
-            return
-        yield chunk

@@ -368,6 +368,33 @@ class TestBenchJson:
             assert entry["ingest_bytes"] == document["payload_bytes"]
             assert "ingest_bytes_per_second" not in entry
 
+    def test_bench_json_compiled_counters_are_per_pass(self, tmp_path):
+        """Each compiled row carries its own pass's kernel counters;
+        rows of other backends carry none."""
+        from repro.engine import clear_kernels
+
+        clear_kernels()
+        out = tmp_path / "bench.json"
+        code = main([
+            "bench", "s:1:temperature",
+            "--records", "60", "--backends", "compiled,vectorized",
+            "--repeat", "2", "--json", str(out),
+        ])
+        assert code == 0
+        document = json.loads(out.read_text())
+        rows = {
+            (entry["backend"], entry["pass"]): entry["compiled"]
+            for entry in document["passes"]
+        }
+        assert rows[("compiled", 1)]["kernels_compiled"] == 1
+        assert rows[("compiled", 2)]["kernels_compiled"] == 0
+        assert rows[("compiled", 2)]["kernels_reused"] == 1
+        assert rows[("vectorized", 1)] is None
+        assert rows[("vectorized", 2)] is None
+        # the document-level block stays cumulative
+        assert document["compiled"]["kernels_compiled"] == 1
+        assert document["compiled"]["kernels_reused"] == 1
+
     def test_bench_json_without_cache_has_null_deltas(self, tmp_path):
         out = tmp_path / "bench.json"
         code = main([

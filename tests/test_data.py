@@ -15,6 +15,7 @@ from repro.data import (
     inflate,
     load_dataset,
 )
+from repro.engine import ingest_dataset
 from repro.errors import QueryError, ReproError
 from repro.jsonpath import loads, sensor_names
 
@@ -206,36 +207,49 @@ class TestQueryOracle:
 
 
 class TestNdjsonIO:
+    """NDJSON files are read by the engine's one splitter,
+    :func:`~repro.engine.ingest_dataset` (through ``RecordFramer``)."""
+
     def test_round_trip_via_file(self, tmp_path, smartcity_small):
         path = tmp_path / "data.ndjson"
         path.write_bytes(
             b"".join(r + b"\n" for r in smartcity_small.records[:25])
         )
-        loaded = Dataset.from_ndjson(path)
+        loaded = ingest_dataset(str(path))
         assert loaded.records == smartcity_small.records[:25]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "data.ndjson"
         path.write_bytes(b'{"a":1}\n\n  \n{"b":2}\n')
-        loaded = Dataset.from_ndjson(path)
-        assert len(loaded) == 2
+        loaded = ingest_dataset(str(path))
+        assert loaded.records == [b'{"a":1}', b'{"b":2}']
 
     def test_crlf_endings(self, tmp_path):
         path = tmp_path / "data.ndjson"
         path.write_bytes(b'{"a":1}\r\n{"b":2}\r\n')
-        loaded = Dataset.from_ndjson(path)
+        loaded = ingest_dataset(str(path))
         assert loaded.records == [b'{"a":1}', b'{"b":2}']
 
+    def test_only_the_cr_before_the_newline_is_stripped(self, tmp_path):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(b'{"a":1}\r\r\n')
+        loaded = ingest_dataset(str(path))
+        assert loaded.records == [b'{"a":1}\r']
+
     def test_validation_rejects_malformed(self, tmp_path):
+        """A malformed line fails loudly once the records are parsed."""
         from repro.errors import JSONParseError
 
         path = tmp_path / "bad.ndjson"
         path.write_bytes(b'{"a":1}\nnot json\n')
+        loaded = ingest_dataset(str(path))
         with pytest.raises(JSONParseError):
-            Dataset.from_ndjson(path)
+            loaded.parsed  # noqa: B018 - force strict parsing
 
     def test_validation_can_be_skipped(self, tmp_path):
+        """Ingest frames raw bytes and parses nothing, as the filter
+        lanes do: validation happens only on ``parsed``."""
         path = tmp_path / "bad.ndjson"
         path.write_bytes(b'garbage bytes\n')
-        loaded = Dataset.from_ndjson(path, validate=False)
-        assert len(loaded) == 1
+        loaded = ingest_dataset(str(path))
+        assert loaded.records == [b"garbage bytes"]

@@ -20,7 +20,6 @@ from repro.engine import (
     RecordFramer,
     ScalarBackend,
     VectorizedBackend,
-    iter_file_chunks,
     resolve_backend,
 )
 from repro.errors import ReproError
@@ -105,36 +104,6 @@ class TestRecordFramer:
     def test_non_bytes_chunk_rejected(self):
         with pytest.raises(ReproError):
             RecordFramer().push("text")
-
-    def test_iter_file_chunks(self):
-        handle = io.BytesIO(b"abcdefg")
-        assert list(iter_file_chunks(handle, 3)) == [b"abc", b"def", b"g"]
-        with pytest.raises(ReproError):
-            list(iter_file_chunks(io.BytesIO(b"x"), 0))
-
-    def test_iter_file_chunks_pipe_yields_available_bytes(self):
-        """Non-seekable handles must not block for a full chunk: the
-        bytes already available are delivered immediately (read1)."""
-
-        class FakePipe:
-            def __init__(self, pieces):
-                self.pieces = list(pieces)
-                self.read_called = False
-
-            def seekable(self):
-                return False
-
-            def read1(self, size):
-                return self.pieces.pop(0) if self.pieces else b""
-
-            def read(self, size):  # would block in a real pipe
-                self.read_called = True
-                return self.read1(size)
-
-        pipe = FakePipe([b'{"a":1}\n', b'{"b":2}\n'])
-        chunks = list(iter_file_chunks(pipe, 1 << 20))
-        assert chunks == [b'{"a":1}\n', b'{"b":2}\n']
-        assert not pipe.read_called
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +222,7 @@ class TestStreaming:
         payload = ndjson_bytes(corpus)
         records = []
         matches = []
-        for batch in engine.stream_file(
+        for batch in engine.stream(
             simple_filter(), io.BytesIO(payload)
         ):
             records.extend(batch.records)
@@ -267,7 +236,7 @@ class TestStreaming:
         engine = FilterEngine(chunk_bytes=chunk_bytes)
         payload = ndjson_bytes(corpus)
         max_record = max(len(r) + 1 for r in corpus.records)
-        for batch in engine.stream_file(
+        for batch in engine.stream(
             simple_filter(), io.BytesIO(payload)
         ):
             batch_bytes = sum(len(r) + 1 for r in batch.records)
@@ -291,7 +260,7 @@ class TestStreaming:
         engine = FilterEngine(chunk_bytes=512)
         payload = ndjson_bytes(corpus)
         last = None
-        for last in engine.stream_file(
+        for last in engine.stream(
             simple_filter(), io.BytesIO(payload)
         ):
             pass
@@ -315,7 +284,7 @@ class TestStreaming:
     def test_scalar_backend_streaming(self, corpus, expected):
         engine = FilterEngine(backend="scalar", chunk_bytes=333)
         matches = []
-        for batch in engine.stream_file(
+        for batch in engine.stream(
             simple_filter(), io.BytesIO(ndjson_bytes(corpus))
         ):
             matches.extend(batch.matches.tolist())
@@ -387,10 +356,10 @@ class TestCachedStreamSeams:
                                   cache=True)
             plain = FilterEngine(backend=backend, chunk_bytes=190)
             cached_batches = list(
-                cached.stream_file(expr, io.BytesIO(payload))
+                cached.stream(expr, io.BytesIO(payload))
             )
             plain_batches = list(
-                plain.stream_file(expr, io.BytesIO(payload))
+                plain.stream(expr, io.BytesIO(payload))
             )
             assert len(cached_batches) == len(plain_batches), backend
             for left, right in zip(cached_batches, plain_batches):
@@ -406,10 +375,10 @@ class TestParallelStreaming:
         serial = FilterEngine(chunk_bytes=512)
         parallel = FilterEngine(chunk_bytes=512, num_workers=2)
         serial_batches = list(
-            serial.stream_file(expr, io.BytesIO(payload))
+            serial.stream(expr, io.BytesIO(payload))
         )
         parallel_batches = list(
-            parallel.stream_file(expr, io.BytesIO(payload))
+            parallel.stream(expr, io.BytesIO(payload))
         )
         assert len(serial_batches) == len(parallel_batches)
         for left, right in zip(serial_batches, parallel_batches):

@@ -75,7 +75,7 @@ def payload(corpus):
 
 def stream_bits(engine, expr, payload, backend=None):
     matches = []
-    for batch in engine.stream_file(
+    for batch in engine.stream(
         expr, io.BytesIO(payload), backend=backend
     ):
         matches.extend(batch.matches.tolist())
@@ -278,7 +278,7 @@ class TestDifferential:
             cache=True, num_workers=2, chunk_bytes=2048
         )
         try:
-            stream = engine.stream_file(
+            stream = engine.stream(
                 simple_filter(), io.BytesIO(payload)
             )
             next(stream)
@@ -333,7 +333,7 @@ class TestLifecycle:
             cache=True, num_workers=2, chunk_bytes=2048
         )
         try:
-            stream = engine.stream_file(
+            stream = engine.stream(
                 simple_filter(), io.BytesIO(payload)
             )
             next(stream)
@@ -365,7 +365,7 @@ class TestFaultInjection:
         )
         matches, killed = [], False
         try:
-            for batch in engine.stream_file(
+            for batch in engine.stream(
                 simple_filter(), io.BytesIO(payload)
             ):
                 matches.extend(batch.matches.tolist())
@@ -393,7 +393,7 @@ class TestFaultInjection:
         matches = []
         try:
             with pytest.raises(WorkerCrashError):
-                for batch in engine.stream_file(
+                for batch in engine.stream(
                     simple_filter(), io.BytesIO(payload)
                 ):
                     matches.extend(batch.matches.tolist())
@@ -428,7 +428,7 @@ class TestFaultInjection:
         engine = FilterEngine(
             cache=True, num_workers=2, chunk_bytes=1024
         )
-        stream = engine.stream_file(
+        stream = engine.stream(
             simple_filter(), io.BytesIO(payload)
         )
         next(stream)

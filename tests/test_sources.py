@@ -14,8 +14,6 @@ from repro.engine import (
     FileSource,
     FilterEngine,
     IterableSource,
-    MmapSource,
-    ReadaheadSource,
     SocketSource,
     as_chunk_source,
     ingest_dataset,
@@ -73,6 +71,7 @@ class TestFileSource:
         assert b"".join(chunks) == b'{"a":1}\n{"b":2}\n'
         assert source.bytes_read == 16
         assert source.chunks_read == 4
+        assert source.stats()["source"] == "file"
 
     def test_wraps_handle_without_owning_it(self):
         handle = io.BytesIO(b"abcdef")
@@ -108,250 +107,59 @@ class TestFileSource:
         with pytest.raises(ReproError):
             FileSource(io.BytesIO(b""), chunk_bytes=0)
 
-
-class TestMmapSource:
-    def _write(self, tmp_path, payload, name="data.ndjson"):
-        path = tmp_path / name
-        path.write_bytes(payload)
-        return path
-
-    def test_windows_roundtrip_and_accounting(self, tmp_path, payload):
-        path = self._write(tmp_path, payload)
-        with MmapSource(path, chunk_bytes=777) as source:
-            chunks = [bytes(chunk) for chunk in source]
-        assert b"".join(chunks) == payload
-        assert source.bytes_read == len(payload)
-        assert source.chunks_read == -(-len(payload) // 777)
-        assert source.stats()["source"] == "mmap"
-
-    def test_windows_are_zero_copy_memoryviews(self, tmp_path):
-        path = self._write(tmp_path, b'{"a":1}\n{"b":2}\n')
-        source = MmapSource(path, chunk_bytes=4)
-        for window in source:
-            assert isinstance(window, memoryview)
-
-    def test_empty_file_yields_no_windows(self, tmp_path):
-        """Length-0 files cannot be mapped; an empty stream is simply
-        no chunks, not an error."""
-        path = self._write(tmp_path, b"")
-        with MmapSource(path) as source:
+    def test_empty_file_yields_no_chunks(self, tmp_path):
+        """An empty file is an empty stream, not an error."""
+        path = tmp_path / "empty.ndjson"
+        path.write_bytes(b"")
+        with FileSource(path) as source:
             assert list(source) == []
         assert source.bytes_read == 0
+        assert source.chunks_read == 0
 
-    def test_size_exact_multiple_of_window(self, tmp_path):
-        """No phantom empty tail window when the file size divides the
-        window size exactly (b"" would mean EOF to downstream code)."""
+    def test_size_exact_multiple_of_chunk(self, tmp_path):
+        """No phantom empty tail chunk when the file size divides the
+        chunk size exactly."""
         payload = b'{"k":1}\n' * 16  # 128 bytes
-        path = self._write(tmp_path, payload)
-        with MmapSource(path, chunk_bytes=32) as source:
-            chunks = [bytes(chunk) for chunk in source]
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(payload)
+        with FileSource(path, chunk_bytes=32) as source:
+            chunks = list(source)
         assert len(chunks) == 4
         assert all(chunks)
         assert b"".join(chunks) == payload
 
-    def test_record_spanning_two_windows(self, tmp_path):
-        """A record cut by a window seam reassembles exactly (the
-        framer copies bytes out of each window before the next)."""
+    def test_record_spanning_two_chunks(self, tmp_path):
+        """A record cut by a chunk seam reassembles exactly."""
         first = b'{"n":"temperature","v":"1.0"}'
         second = b'{"n":"humidity","v":"2.0"}'
-        payload = first + b"\n" + second + b"\n"
-        path = self._write(tmp_path, payload)
-        # a 17-byte window cuts both records mid-body
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(first + b"\n" + second + b"\n")
+        # a 17-byte chunk cuts both records mid-body
         engine = FilterEngine(chunk_bytes=17)
         records = []
-        for batch in engine.stream(
-            comp.s("temperature", 1), MmapSource(path, chunk_bytes=17)
-        ):
+        for batch in engine.stream(comp.s("temperature", 1), str(path)):
             records.extend(batch.records)
         assert records == [first, second]
 
-    def test_record_larger_than_window(self, tmp_path):
-        big = b'{"blob":"' + b"y" * 4000 + b'","temperature":"1.0"}'
-        small = b'{"temperature":"2.0"}'
-        path = self._write(tmp_path, big + b"\n" + small + b"\n")
-        engine = FilterEngine(chunk_bytes=64)
-        records = []
-        for batch in engine.stream(
-            comp.s("temperature", 1), MmapSource(path, chunk_bytes=64)
-        ):
-            records.extend(batch.records)
-        assert records == [big, small]
-
-    def test_stream_end_closes_the_map(self, tmp_path, payload):
-        path = self._write(tmp_path, payload)
-        source = MmapSource(path)
-        for _ in source:
-            pass
-        assert source._mmap is None
-        assert source._handle.closed
-
-    def test_escaped_window_reference_raises_on_close(self, tmp_path):
-        """A consumer-created slice of a window pins the map; close()
-        surfaces that as a clear ReproError, not a raw BufferError."""
-        path = self._write(tmp_path, b'{"a":1}\n' * 8)
-        source = MmapSource(path, chunk_bytes=16)
-        windows = iter(source)
-        escaped = next(windows)[:4]  # a new memoryview over the map
-        with pytest.raises(ReproError, match="still referenced"):
-            source.close()
-        escaped.release()
-        source.close()  # now succeeds
-
-    def test_handle_callers_keep_ownership(self, tmp_path, payload):
-        path = self._write(tmp_path, payload)
-        with open(path, "rb") as handle:
-            source = MmapSource(handle, chunk_bytes=512)
-            assert b"".join(
-                bytes(c) for c in source
-            ) == payload
-            assert not handle.closed  # caller still owns the handle
-
-    def test_rejects_fd_less_handles(self):
-        with pytest.raises(ReproError):
-            MmapSource(io.BytesIO(b"no fileno"))
-        with pytest.raises(ReproError):
-            MmapSource(io.BytesIO(b""), chunk_bytes=0)
-
-    def test_as_chunk_source_picks_mmap_for_large_files(
-        self, tmp_path, payload, monkeypatch
-    ):
-        import repro.engine.sources as sources_module
-
-        path = self._write(tmp_path, payload)
-        monkeypatch.setattr(
-            sources_module, "MMAP_THRESHOLD_BYTES", len(payload)
-        )
-        source = as_chunk_source(str(path))
-        assert isinstance(source, MmapSource)
-        assert b"".join(bytes(c) for c in source) == payload
-        # below the threshold the buffered path is kept
-        monkeypatch.setattr(
-            sources_module, "MMAP_THRESHOLD_BYTES", len(payload) + 1
-        )
-        small = as_chunk_source(str(path))
-        assert isinstance(small, FileSource)
-        small.close()
-
-
-class TestReadaheadSource:
-    def test_preserves_order_and_content(self, payload):
-        pieces = [payload[i:i + 997] for i in range(0, len(payload), 997)]
-        source = ReadaheadSource(IterableSource(list(pieces)), depth=3)
-        assert [bytes(c) for c in source] == pieces
-        stats = source.stats()
-        assert stats["source"] == "readahead"
-        assert stats["depth"] == 3
-        assert stats["inner"]["source"] == "iterable"
-        assert stats["bytes_read"] == len(payload)
-
-    def test_wraps_paths_via_as_chunk_source(self, tmp_path, payload):
-        path = tmp_path / "corpus.ndjson"
-        path.write_bytes(payload)
-        source = ReadaheadSource(str(path), chunk_bytes=1024)
-        assert b"".join(bytes(c) for c in source) == payload
-        assert source.source._handle.closed
-
-    def test_prefetch_runs_ahead_of_a_slow_consumer(self):
-        import time
-
-        pieces = [b'{"k":%d}\n' % i for i in range(12)]
-        source = ReadaheadSource(IterableSource(pieces), depth=4)
-        consumed = []
-        for chunk in source:
-            if not consumed:
-                time.sleep(0.1)  # let the producer fill the queue
-            consumed.append(bytes(chunk))
-        assert consumed == pieces
-        assert source.peak_depth >= 2  # prefetch actually got ahead
-
-    def test_prefetch_depth_is_bounded(self):
-        """The producer can never be more than depth (queued) + 1 (in
-        hand) chunks past the consumer — bounded resident memory."""
-        import time
-
-        produced = []
-
-        def generate():
-            for i in range(50):
-                produced.append(i)
-                yield b'{"k":%d}\n' % i
-
-        source = ReadaheadSource(IterableSource(generate()), depth=2)
-        chunks = iter(source)
-        next(chunks)
-        time.sleep(0.1)  # producer parks on the full queue
-        assert len(produced) <= 1 + 2 + 1
-        source.close()
-
-    def test_inner_errors_surface_in_the_consumer(self):
-        def exploding():
-            yield b'{"a":1}\n'
-            raise OSError("disk on fire")
-
-        source = ReadaheadSource(IterableSource(exploding()))
-        chunks = iter(source)
-        assert bytes(next(chunks)) == b'{"a":1}\n'
-        with pytest.raises(OSError, match="disk on fire"):
-            next(chunks)
-
-    def test_close_mid_stream_stops_producer_and_inner(self, tmp_path,
-                                                       payload):
-        path = tmp_path / "corpus.ndjson"
-        path.write_bytes(payload)
-        inner = FileSource(str(path), chunk_bytes=64)
-        source = ReadaheadSource(inner, depth=2)
-        chunks = iter(source)
-        next(chunks)
-        source.close()
-        assert not source._thread.is_alive()
-        assert inner._handle.closed
-        with pytest.raises(ReproError):
-            list(source)  # a closed source does not restart
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ReproError):
-            ReadaheadSource(IterableSource([]), depth=0)
-
-    def test_engine_stream_over_readahead_mmap(self, tmp_path, corpus,
-                                               payload):
-        """The composed larger-than-memory path (readahead over mmap)
-        produces exactly the offline match bits."""
-        path = tmp_path / "corpus.ndjson"
-        path.write_bytes(payload)
-        engine = FilterEngine(chunk_bytes=512)
-        expected = engine.match_bits(simple_filter(), corpus)
-        matches = []
-        source = ReadaheadSource(
-            MmapSource(path, chunk_bytes=512), depth=3
-        )
-        for batch in engine.stream(simple_filter(), source):
-            matches.extend(batch.matches.tolist())
-        assert matches == expected.tolist()
-
 
 class TestSourceBackendDifferential:
-    """Every backend over mmap/readahead ingest must be bit-identical
-    to the scalar oracle over the in-memory corpus."""
+    """Every backend over file ingest, at odd chunk sizes that cut
+    records mid-body, must be bit-identical to the scalar oracle over
+    the in-memory corpus."""
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized",
                                          "compiled"])
-    @pytest.mark.parametrize("wrap", ["mmap", "readahead"])
+    @pytest.mark.parametrize("chunk_bytes", [17, 333])
     def test_backends_match_scalar_oracle(self, tmp_path, corpus,
-                                          payload, backend, wrap):
+                                          payload, backend, chunk_bytes):
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(payload)
         oracle = FilterEngine(backend="scalar").match_bits(
             simple_filter(), corpus
         )
-        if wrap == "mmap":
-            source = MmapSource(path, chunk_bytes=333)
-        else:
-            source = ReadaheadSource(
-                FileSource(str(path), chunk_bytes=333), depth=2
-            )
-        engine = FilterEngine(backend=backend, chunk_bytes=333)
+        engine = FilterEngine(backend=backend, chunk_bytes=chunk_bytes)
         matches = []
-        for batch in engine.stream(simple_filter(), source):
+        for batch in engine.stream(simple_filter(), str(path)):
             matches.extend(batch.matches.tolist())
         assert matches == oracle.tolist()
 
@@ -635,6 +443,15 @@ class TestPathIngest:
         assert isinstance(source, FileSource)
         assert b"".join(source) == payload
 
+    @pytest.mark.parametrize("size", [1000, 8 << 20])
+    def test_path_is_a_file_source_at_every_size(self, tmp_path, size):
+        """One file reader, whatever the file's size."""
+        path = tmp_path / "sized.ndjson"
+        path.write_bytes(b'{"k":1}\n' * (size // 8))
+        with as_chunk_source(str(path)) as source:
+            assert isinstance(source, FileSource)
+            assert sum(len(chunk) for chunk in source) == size
+
     def test_bytes_stay_stream_data_not_paths(self):
         """b"..." is always chunk data; only str/PathLike are paths."""
         source = as_chunk_source(b"not/a/path")
@@ -768,12 +585,21 @@ class TestFramingEdgeCases:
 
 
 class TestStreamFileOwnership:
+    """``engine.stream(expr, path)`` owns the file it opens; a handle
+    passed in stays the caller's."""
+
     def _write_corpus(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         path.write_bytes(b'{"n":"temperature","v":"1.0"}\n' * 40)
         return path
 
-    def test_stream_file_accepts_path_and_closes_it(self, tmp_path):
+    def _resource_warnings(self, caught):
+        return [
+            w for w in caught
+            if issubclass(w.category, ResourceWarning)
+        ]
+
+    def test_path_stream_closes_at_end(self, tmp_path):
         import gc
         import warnings
 
@@ -782,14 +608,11 @@ class TestStreamFileOwnership:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             batches = list(
-                engine.stream_file(comp.s("temperature", 1), str(path))
+                engine.stream(comp.s("temperature", 1), str(path))
             )
             gc.collect()
         assert sum(len(batch) for batch in batches) == 40
-        assert not [
-            w for w in caught
-            if issubclass(w.category, ResourceWarning)
-        ]
+        assert not self._resource_warnings(caught)
 
     def test_abandoned_path_stream_still_closes(self, tmp_path):
         import gc
@@ -799,13 +622,35 @@ class TestStreamFileOwnership:
         engine = FilterEngine(chunk_bytes=64)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            stream = engine.stream_file(
-                comp.s("temperature", 1), str(path)
-            )
+            stream = engine.stream(comp.s("temperature", 1), str(path))
             next(stream)  # partially consume, then abandon
             stream.close()
             gc.collect()
-        assert not [
-            w for w in caught
-            if issubclass(w.category, ResourceWarning)
-        ]
+        assert not self._resource_warnings(caught)
+
+    def test_unstarted_path_stream_opens_nothing(self, tmp_path):
+        """The file is opened when the stream starts, so a stream that
+        is never iterated holds no handle."""
+        import gc
+        import warnings
+
+        path = self._write_corpus(tmp_path)
+        engine = FilterEngine(chunk_bytes=64)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stream = engine.stream(comp.s("temperature", 1), str(path))
+            del stream
+            gc.collect()
+        assert not self._resource_warnings(caught)
+
+    def test_caller_handle_stays_open(self, tmp_path):
+        path = self._write_corpus(tmp_path)
+        engine = FilterEngine(chunk_bytes=64)
+        with open(path, "rb") as handle:
+            records = sum(
+                len(batch)
+                for batch in engine.stream(comp.s("temperature", 1),
+                                           handle)
+            )
+            assert not handle.closed
+        assert records == 40

@@ -64,7 +64,7 @@ def payload(corpus):
 def stream_all(engine, expr, payload, backend=None):
     records, matches = [], []
     last = None
-    for last in engine.stream_file(
+    for last in engine.stream(
         expr, io.BytesIO(payload), backend=backend
     ):
         records.extend(last.records)
@@ -393,7 +393,7 @@ class TestMergeBack:
         )
         mid_stream_entries = 0
         try:
-            for batch in engine.stream_file(
+            for batch in engine.stream(
                 simple_filter(), io.BytesIO(payload)
             ):
                 if batch.index == 10:
@@ -412,7 +412,7 @@ class TestMergeBack:
             chunk_bytes=512, num_workers=2, cache=cache
         )
         try:
-            stream = engine.stream_file(
+            stream = engine.stream(
                 simple_filter(), io.BytesIO(payload)
             )
             for _ in range(3):
@@ -537,7 +537,7 @@ class TestWorkerFunctions:
         _, want, _ = stream_all(warm, expr, payload)
         batches = [
             batch.records
-            for batch in FilterEngine(chunk_bytes=1024).stream_file(
+            for batch in FilterEngine(chunk_bytes=1024).stream(
                 expr, io.BytesIO(payload)
             )
         ]
