@@ -141,6 +141,39 @@ class TestFileSource:
             records.extend(batch.records)
         assert records == [first, second]
 
+    def test_path_roundtrip_and_accounting_at_odd_chunk_size(
+        self, tmp_path, payload
+    ):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(payload)
+        with FileSource(path, chunk_bytes=777) as source:
+            chunks = list(source)
+        assert b"".join(chunks) == payload
+        assert source.bytes_read == len(payload)
+        assert source.chunks_read == -(-len(payload) // 777)
+
+    def test_record_larger_than_chunk_from_path(self, tmp_path):
+        big = b'{"blob":"' + b"y" * 4000 + b'","temperature":"1.0"}'
+        small = b'{"temperature":"2.0"}'
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(big + b"\n" + small + b"\n")
+        engine = FilterEngine(chunk_bytes=64)
+        records = []
+        for batch in engine.stream(
+            comp.s("temperature", 1), FileSource(path, chunk_bytes=64)
+        ):
+            records.extend(batch.records)
+        assert records == [big, small]
+
+    def test_stream_end_closes_the_owned_handle(self, tmp_path, payload):
+        path = tmp_path / "data.ndjson"
+        path.write_bytes(payload)
+        source = FileSource(path, chunk_bytes=512)
+        for _ in source:
+            pass
+        assert source._handle.closed
+        source.close()  # closing again after stream end is harmless
+
 
 class TestSourceBackendDifferential:
     """Every backend over file ingest, at odd chunk sizes that cut
