@@ -3,11 +3,10 @@
 Three passes, all reachable through ``repro lint`` (and the first also
 wired into the engine itself):
 
-* :mod:`~repro.analysis.kernel_verify` — proves every generated fused
-  kernel stays inside the kernel ABI whitelist and that its evaluation
-  plan is boolean-equivalent to the filter expression (every
-  :class:`~repro.engine.compiled.CompiledKernel` runs it before its
-  source is executed);
+* :mod:`~repro.analysis.kernel_verify` — proves every compiled kernel
+  plan boolean-equivalent to its filter expression
+  (:func:`~repro.engine.compiled.kernel_for` runs it before the plan's
+  first batch);
 * :mod:`~repro.analysis.lockcheck` — ``# guarded-by:``-annotation-
   driven lock-discipline checking over the codebase's shared state;
 * :mod:`~repro.analysis.lifecycle` — resource-lifecycle rules
@@ -22,13 +21,7 @@ from .findings import (
     load_baseline,
     save_baseline,
 )
-from .kernel_verify import (
-    plan_violations,
-    source_violations,
-    verify_kernel,
-    verify_kernel_source,
-    verify_plan,
-)
+from .kernel_verify import plan_violations, verify_plan
 from .runner import (
     ALL_RULES,
     default_lint_root,
@@ -50,8 +43,5 @@ __all__ = [
     "plan_violations",
     "run_lint",
     "save_baseline",
-    "source_violations",
-    "verify_kernel",
-    "verify_kernel_source",
     "verify_plan",
 ]

@@ -1,55 +1,34 @@
-"""Static verification of generated fused kernels.
+"""Static verification of compiled kernel plans.
 
-The compiled backend (:mod:`repro.engine.compiled`) *generates and
-executes code*: per-filter kernel source built by string emission,
-``compile()``d and ``exec``'d into the process.  Two things can go
-wrong with that, and both would corrupt results silently at scale:
+The compiled backend (:mod:`repro.engine.compiled`) runs each filter
+as a :class:`~repro.engine.compiled.KernelPlan`: a selectivity-ordered,
+short-circuiting, prefilter-augmented sequence of verified primitives.
+If that plan were not boolean-equivalent to the filter expression it
+claims to implement, the backend would return plausible-but-wrong bits
+— silently, at scale.
 
-* the generated source could escape the kernel ABI (call something it
-  must not, reach an attribute it must not) — a codegen bug or a
-  corrupted emission template becomes arbitrary code execution inside
-  the hot path;
-* the evaluation *plan* the kernel implements (selectivity-ordered,
-  short-circuiting, prefilter-augmented) could fail to be
-  boolean-equivalent to the filter expression it claims to implement —
-  a miscompile that returns plausible-but-wrong bits.
-
-This module proves both properties for every kernel, between codegen
-and ``compile()``/``exec``, so generated source is checked before any
-of it runs:
-
-1. :func:`verify_kernel_source` parses the generated source into an
-   AST and checks it against a strict **whitelist**: allowed node
-   types only, allowed names only (the step/constant naming scheme and
-   the driver's locals), no imports, and no attribute access except
-   the kernel ABI (``ctx.<method>`` for the audited context methods,
-   ``state.n_active``).
-
-2. :func:`verify_plan` proves the plan boolean-equivalent to the
-   original expression by **exhaustive truth assignment** over the
-   expression's variables (primitives and structural groups — small
-   sets in practice).  Assignments that are semantically impossible at
-   record level are excluded: a group can only match a record in which
-   every child fired somewhere, so ``group ⇒ child`` record-level
-   implications constrain the space.  AND plans additionally require
-   every prefilter step to be a *necessary condition* on its own —
-   the ordering logic is free to drop or reorder prefilters, so their
-   soundness must not depend on the exact steps running first.
+:func:`verify_plan` proves the plan boolean-equivalent to the original
+expression by **exhaustive truth assignment** over the expression's
+variables (primitives and structural groups — small sets in practice).
+Assignments that are semantically impossible at record level are
+excluded: a group can only match a record in which every child fired
+somewhere, so ``group ⇒ child`` record-level implications constrain
+the space.  AND plans additionally require every prefilter step to be
+a *necessary condition* on its own — the ordering logic is free to
+drop or reorder prefilters, so their soundness must not depend on the
+exact steps running first.
 
 Failures raise the typed
-:class:`~repro.errors.KernelVerificationError` from the
-:class:`~repro.engine.compiled.CompiledKernel` constructor, in every
-process and with no switch to turn it off.  The compiled-kernel
-registry is keyed by filter fingerprint, so each filter is verified
-once per process.
+:class:`~repro.errors.KernelVerificationError` from
+:func:`~repro.engine.compiled.kernel_for`, in every process and with
+no switch to turn it off.  The plan registry is keyed by filter
+fingerprint, so each filter is verified once per process.
 """
 
 from __future__ import annotations
 
-import ast
 import itertools
 import random
-import re
 from collections import OrderedDict
 from typing import Any, Iterator, Protocol
 
@@ -69,153 +48,6 @@ class _PlanLike(Protocol):
     mode: str
     steps: tuple[Any, ...]
 
-
-class _KernelLike(Protocol):
-    """Duck type of :class:`repro.engine.compiled.CompiledKernel`."""
-
-    expr: Any
-    plan: Any
-    source: str
-
-
-# ---------------------------------------------------------------------------
-# source whitelist
-# ---------------------------------------------------------------------------
-
-#: the only AST statement/expression node types generated kernels use
-_ALLOWED_NODES: tuple[type[ast.AST], ...] = (
-    ast.Module, ast.FunctionDef, ast.arguments, ast.arg,
-    ast.Expr, ast.Assign, ast.AugAssign, ast.Return,
-    ast.If, ast.For, ast.Break,
-    ast.Name, ast.Attribute, ast.Call, ast.Constant,
-    ast.Subscript, ast.Tuple, ast.Compare,
-    ast.Is, ast.Eq, ast.Sub,
-    ast.Load, ast.Store,
-)
-
-#: names the generated source may reference, beyond per-step constants
-_ALLOWED_NAME = re.compile(
-    r"\A(?:ctx|state|order|bits|index|remaining|kernel|len|_STEPS"
-    r"|_step_\d+|ATOM_\d+|NEEDLE_\d+|BLOCK_\d+)\Z"
-)
-
-#: the kernel ABI: the audited context methods generated steps call
-ALLOWED_CTX_METHODS = frozenset({
-    "precomputed_bits", "string_bits", "atom_bits", "store",
-    "refine", "accumulate", "note_skipped", "finish",
-})
-#: the only state attribute the generated driver reads
-ALLOWED_STATE_ATTRS = frozenset({"n_active"})
-
-#: functions callable by bare name inside a kernel
-_ALLOWED_NAME_CALLS = re.compile(r"\A(?:len|_step_\d+)\Z")
-
-
-def _violation(node: ast.AST, reason: str) -> str:
-    line = getattr(node, "lineno", 0)
-    return f"line {line}: {reason}"
-
-
-def _check_attribute(node: ast.Attribute) -> str | None:
-    base = node.value
-    if not isinstance(base, ast.Name):
-        return _violation(
-            node, f"attribute access on a non-name base ({node.attr!r})"
-        )
-    if base.id == "ctx":
-        if node.attr not in ALLOWED_CTX_METHODS:
-            return _violation(
-                node,
-                f"ctx.{node.attr} is outside the kernel ABI "
-                f"(allowed: {', '.join(sorted(ALLOWED_CTX_METHODS))})",
-            )
-        return None
-    if base.id == "state":
-        if node.attr not in ALLOWED_STATE_ATTRS:
-            return _violation(
-                node, f"state.{node.attr} is not a readable state slot"
-            )
-        return None
-    return _violation(
-        node, f"attribute escape: {base.id}.{node.attr}"
-    )
-
-
-def _check_call(node: ast.Call) -> str | None:
-    if node.keywords:
-        return _violation(node, "keyword arguments in a kernel call")
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return None  # the attribute check already constrains it
-    if isinstance(func, ast.Name):
-        if not _ALLOWED_NAME_CALLS.match(func.id):
-            return _violation(
-                node, f"call to disallowed name {func.id!r}"
-            )
-        return None
-    if isinstance(func, ast.Subscript):
-        base = func.value
-        if isinstance(base, ast.Name) and base.id == "_STEPS":
-            return None
-        return _violation(node, "call through a non-_STEPS subscript")
-    return _violation(node, "call through a disallowed expression")
-
-
-def source_violations(source: str) -> list[str]:
-    """Whitelist violations of one generated kernel source (may be
-    empty).  ``verify_kernel_source`` raises on any."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as err:
-        return [f"generated source does not parse: {err}"]
-    violations: list[str] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            violations.append(_violation(
-                node,
-                f"disallowed construct {type(node).__name__}",
-            ))
-            continue
-        if isinstance(node, ast.Name):
-            if not _ALLOWED_NAME.match(node.id):
-                violations.append(_violation(
-                    node, f"disallowed name {node.id!r}"
-                ))
-        elif isinstance(node, ast.Attribute):
-            problem = _check_attribute(node)
-            if problem is not None:
-                violations.append(problem)
-        elif isinstance(node, ast.Call):
-            problem = _check_call(node)
-            if problem is not None:
-                violations.append(problem)
-        elif isinstance(node, ast.FunctionDef):
-            if node.name != "kernel" and not re.match(
-                r"\A_step_\d+\Z", node.name
-            ):
-                violations.append(_violation(
-                    node, f"disallowed function name {node.name!r}"
-                ))
-            if node.decorator_list:
-                violations.append(_violation(
-                    node, "decorators are not part of the kernel ABI"
-                ))
-    return violations
-
-
-def verify_kernel_source(source: str, label: str = "kernel") -> None:
-    """Raise :class:`KernelVerificationError` on any whitelist escape."""
-    violations = source_violations(source)
-    if violations:
-        raise KernelVerificationError(
-            f"generated kernel for {label} escapes the ABI whitelist: "
-            + "; ".join(violations[:8])
-        )
-
-
-# ---------------------------------------------------------------------------
-# plan equivalence
-# ---------------------------------------------------------------------------
 
 def _collect_variables(
     expr: Any, variables: OrderedDict[str, Any],
@@ -385,14 +217,3 @@ def verify_plan(plan: _PlanLike) -> None:
     if violations:
         raise _fail(plan, "; ".join(violations[:4]))
 
-
-# ---------------------------------------------------------------------------
-# kernel verification (the codegen-time hook)
-# ---------------------------------------------------------------------------
-
-def verify_kernel(kernel: _KernelLike) -> None:
-    """Verify one generated kernel (source whitelist + plan
-    equivalence); called by the ``CompiledKernel`` constructor before
-    its source is compiled."""
-    verify_kernel_source(kernel.source, kernel.expr.notation())
-    verify_plan(kernel.plan)

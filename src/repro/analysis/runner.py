@@ -2,10 +2,10 @@
 
 ``repro lint`` calls :func:`run_lint`: the lock-discipline and
 lifecycle passes walk the Python files under the given paths, and the
-``kernels`` pass compiles a representative corpus of filter
-expressions through the real codegen path and verifies each kernel
-(source whitelist + plan equivalence) — a self-check that the codegen
-currently in the tree emits only verifiable kernels.
+``kernels`` pass builds the kernel plan of a representative corpus of
+filter expressions and proves each equivalent to its expression — a
+self-check that the plan builder currently in the tree emits only
+verifiable plans.
 """
 
 from __future__ import annotations
@@ -87,23 +87,24 @@ def _kernel_corpus() -> list:
 
 
 def kernel_selfcheck() -> list[Finding]:
-    """Compile (and thereby verify) the representative kernel corpus."""
-    from ..engine.compiled import CompiledKernel
+    """Build and verify the plan of every corpus expression."""
+    from ..engine.compiled import build_plan
+    from .kernel_verify import verify_plan
 
     findings: list[Finding] = []
     for expr in _kernel_corpus():
         label = expr.notation()
         try:
-            CompiledKernel(expr)
+            verify_plan(build_plan(expr))
         except KernelVerificationError as err:
             findings.append(Finding(
                 "kernel-verify", "repro/engine/compiled.py", 0,
                 label, str(err),
             ))
-        except Exception as err:  # codegen itself broke
+        except Exception as err:  # the plan builder itself broke
             findings.append(Finding(
                 "kernel-verify", "repro/engine/compiled.py", 0,
-                label, f"codegen failed: {err!r}",
+                label, f"plan build failed: {err!r}",
             ))
     return findings
 

@@ -65,7 +65,6 @@ from .backends import (
 )
 from .compiled import (
     CompiledBackend,
-    CompiledKernel,
     SelectivityTracker,
     clear_kernels,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "resolve_backend",
     "resolve_expression",
     "CompiledBackend",
-    "CompiledKernel",
     "SelectivityTracker",
     "clear_kernels",
     "DEFAULT_CHUNK_BYTES",

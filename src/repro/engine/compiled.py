@@ -10,33 +10,33 @@ runs over a stream once: most records are rejected by one dominant
 atom, yet every later atom still scans their bytes.
 
 This module applies the paper's core move — *specialise the datapath to
-the filter* — in software.  For a resolved
-:class:`~repro.core.composition.RawFilter` expression it generates a
-**fused kernel**: one Python function, built once per filter via
-codegen + ``compile()``/``exec``, that performs a single
-selectivity-ordered pass over the record batch:
+the filter* — in software.  A resolved
+:class:`~repro.core.composition.RawFilter` expression is compiled into
+a **kernel plan** (:class:`KernelPlan`): the verified primitives the
+filter is composed of and the roles they play.  The backend runs that
+plan as a single selectivity-ordered pass over the record batch:
 
-* the expression is decomposed into an evaluation *plan*: the top-level
+* the expression is decomposed into the plan's steps: the top-level
   conjuncts, plus cheap **prefilter** steps derived from structural
   groups (a group can only match a record in which each child fires
   *somewhere*, so the record-level child atoms are necessary
   conditions evaluated long before the structural machinery runs);
-* steps run in selectivity order — seeded from the
-  :mod:`repro.core.cost` ranking, refined online from observed per-atom
-  pass rates (first batch of a kernel's life additionally samples a
-  head slice of records so even the first ordering decision is
-  informed);
+* steps run in selectivity order — seeded from an analytic mirror of
+  the :mod:`repro.core.cost` LUT model, refined online from observed
+  per-atom pass rates (first batch of a plan's life additionally
+  samples a head slice of records so even the first ordering decision
+  is informed);
 * each step only touches the bytes of records still alive: rejected
   records are **masked out of every later atom's scan** by gathering
   the survivors into a compact sub-stream, so the expensive primitives
   (token-matrix builds, structural masks, regex loops) run over a
   shrinking fraction of the input;
-* kernels are cached process-wide by filter fingerprint
+* plans are cached process-wide by filter fingerprint
   (``expr.cache_key()``), so gateway ``SWAP`` traffic and design-space
-  sweeps reuse compilations, and the kernel composes with the
+  sweeps reuse compilations, and the pass composes with the
   :class:`~repro.engine.atom_cache.AtomCache`: cached per-atom masks
   feed the fused pass as precomputed inputs instead of forcing a
-  re-scan, and masks the kernel computes over the full batch are
+  re-scan, and masks the pass computes over the full batch are
   inserted back.
 
 Correctness contract: the kernel is bit-identical to the **scalar
@@ -50,14 +50,12 @@ hardware's ``record_reset`` already depend on.  Predicates with no
 raw-filter expression form degrade to the vectorized path with a
 once-per-backend warning (see :meth:`CompiledBackend.stats`).
 
-The generated source and the plan it executes are proven before any of
-the source runs: :class:`CompiledKernel` hands both to
-:mod:`repro.analysis.kernel_verify`, which checks the source stays
-inside the kernel ABI whitelist and the plan is boolean-equivalent to
-the expression, between codegen and ``compile()``/``exec``.  A
-miscompile raises :class:`~repro.errors.KernelVerificationError`.
-Kernels are registered by filter fingerprint, so each filter is
-verified once per process and a reused kernel costs one dict probe.
+Every plan is proven before its first batch runs: :func:`kernel_for`
+hands it to :func:`repro.analysis.kernel_verify.verify_plan`, which
+checks it is boolean-equivalent to the expression.  A miscompile
+raises :class:`~repro.errors.KernelVerificationError`.  Plans are
+registered by filter fingerprint, so each filter is verified once per
+process and a reused plan costs one dict probe.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ SAMPLE_RECORDS = 256
 #: of records are dropped from the order — their scan costs more than
 #: the records they would mask out of later atoms
 PREFILTER_DROP_SELECTIVITY = 0.9
-#: process-wide compiled-kernel LRU bound (design-space sweeps compile
+#: process-wide compiled-plan LRU bound (design-space sweeps compile
 #: many distinct candidate filters; the registry must not grow with them)
 KERNEL_CACHE_SIZE = 512
 #: a step's survivors are gathered into a compact sub-stream only when
@@ -173,12 +171,12 @@ class SelectivityTracker:
 # cost seeds (the static half of the ordering decision)
 # ---------------------------------------------------------------------------
 
-_COST_SEEDS: dict[str, float] = {}  # guarded-by: _COST_LOCK
-_COST_LOCK = threading.Lock()
-
 #: analytic mirror of the LUT model's per-kind shape (see cost_seed);
 #: the structural-tracker share every group carries
 _GROUP_TRACKER_COST = 36.0
+#: every number filter is priced as a 16-state DFA (8 + 4 * 16),
+#: whatever its real state count
+_NUMBER_COST = 72.0
 _REGEX_COST = 640.0
 
 
@@ -187,17 +185,14 @@ def _analytic_cost(atom: comp.RawFilter) -> float:
 
     Calibrated against synthesised atoms (a short string matcher ~9
     LUTs, a float range DFA ~70, a two-child group ~115): string
-    matchers scale with needle length, number filters with DFA state
-    count, groups pay one structural tracker plus their children.
+    matchers scale with needle length, number filters cost a flat
+    :data:`_NUMBER_COST`, groups pay one structural tracker plus their
+    children.
     """
     if isinstance(atom, comp.StringPredicate):
         return 4.0 + float(len(atom.needle))
     if isinstance(atom, comp.NumberPredicate):
-        try:
-            states = len(atom.dfa.transitions)
-        except Exception:
-            states = 16
-        return 8.0 + 4.0 * float(states)
+        return _NUMBER_COST
     if isinstance(atom, comp.Group):
         return _GROUP_TRACKER_COST + sum(
             _analytic_cost(child) for child in atom.children
@@ -214,33 +209,14 @@ def _analytic_cost(atom: comp.RawFilter) -> float:
 def cost_seed(atom: comp.RawFilter) -> float:
     """Relative evaluation cost of one atom, per the LUT cost model.
 
-    Uses :mod:`repro.core.cost`'s already synthesised LUT counts for
-    free when a design-space sweep has costed the atom — the same
-    ranking the hardware Pareto search uses — and otherwise mirrors
-    that model analytically: triggering circuit synthesis (~0.1s per
-    atom) from the serial hot path would dwarf the sweeps the ordering
-    exists to save.
+    Mirrors :mod:`repro.core.cost` analytically and never reads its
+    synthesised counts, so the step order does not depend on which
+    atoms a design-space sweep happened to cost earlier in the
+    process; triggering circuit synthesis (~0.1s per atom) from the
+    serial hot path would dwarf the sweeps the ordering exists to
+    save.
     """
-    key = atom.cache_key()
-    with _COST_LOCK:
-        cached = _COST_SEEDS.get(key)
-    if cached is not None:
-        return cached
-    value = None
-    try:
-        from ..core.cost import _ATOM_CACHE
-
-        synthesised = _ATOM_CACHE.get((key, 6))
-        if synthesised is not None:
-            value = float(synthesised)
-    except Exception:
-        pass
-    if value is None:
-        value = _analytic_cost(atom)
-    value = max(value, 1.0)
-    with _COST_LOCK:
-        _COST_SEEDS[key] = value
-    return value
+    return max(_analytic_cost(atom), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,124 +317,40 @@ def build_plan(expr: comp.RawFilter) -> KernelPlan:
     return KernelPlan(expr, "and", steps)
 
 
-# ---------------------------------------------------------------------------
-# codegen
-# ---------------------------------------------------------------------------
-
-def generate_kernel_source(plan: KernelPlan) -> str:
-    """Emit the Python source of one fused kernel.
-
-    One ``_step_<i>`` function per plan step — atom constants are bound
-    by name in the kernel's exec namespace, string predicates get a
-    direct ``record_match_array`` fast path, everything else funnels
-    through the audited harness primitives over the surviving
-    sub-stream — plus the ``kernel`` driver that dispatches the steps
-    in the selectivity order chosen per batch.
-    """
-    lines: list[str] = []
-    emit = lines.append
-    emit(f"# fused kernel: {plan.expr.notation()}")
-    emit(f"# plan: {plan.mode}, {len(plan.steps)} steps")
-    emit("")
-    for step in plan.steps:
-        apply_call = (
-            "ctx.accumulate" if step.kind == "disjunct" else "ctx.refine"
-        )
-        emit(f"def _step_{step.index}(ctx, state):")
-        emit(f"    # {step.kind}: {step.atom.notation()}")
-        emit(f"    bits = ctx.precomputed_bits(state, {step.index})")
-        emit("    if bits is None:")
-        if isinstance(step.atom, comp.StringPredicate):
-            emit(
-                f"        bits = ctx.string_bits(state, "
-                f"NEEDLE_{step.index}, BLOCK_{step.index})"
-            )
-            emit(f"        ctx.store(state, {step.index}, bits)")
-        else:
-            emit(
-                f"        bits = ctx.atom_bits(state, "
-                f"ATOM_{step.index})"
-            )
-        emit(f"    {apply_call}(state, bits, {step.index})")
-        emit("")
-    names = ", ".join(f"_step_{step.index}" for step in plan.steps)
-    if len(plan.steps) == 1:
-        names += ","
-    emit(f"_STEPS = ({names})")
-    emit("")
-    emit("def kernel(ctx, state, order):")
-    emit("    remaining = len(order)")
-    emit("    for index in order:")
-    emit("        if state.n_active == 0:")
-    emit("            ctx.note_skipped(state, remaining)")
-    emit("            break")
-    emit("        _STEPS[index](ctx, state)")
-    emit("        remaining -= 1")
-    emit("    return ctx.finish(state)")
-    return "\n".join(lines) + "\n"
-
-
-class CompiledKernel:
-    """One filter, compiled: plan + generated source + callable.
-
-    The source and plan are verified before the source is compiled or
-    executed; a failure raises
-    :class:`~repro.errors.KernelVerificationError`.
-    """
-
-    __slots__ = ("expr", "plan", "source", "fn")
-
-    def __init__(self, expr: comp.RawFilter) -> None:
-        # imported on first compile: processes that never compile a
-        # kernel do not load the analysis package
-        from ..analysis.kernel_verify import verify_kernel
-
-        self.expr = expr
-        self.plan = build_plan(expr)
-        self.source = generate_kernel_source(self.plan)
-        verify_kernel(self)
-        namespace: dict[str, Any] = {"np": np}
-        for step in self.plan.steps:
-            namespace[f"ATOM_{step.index}"] = step.atom
-            if isinstance(step.atom, comp.StringPredicate):
-                namespace[f"NEEDLE_{step.index}"] = step.atom.needle
-                namespace[f"BLOCK_{step.index}"] = step.atom.block
-        code = compile(
-            self.source,
-            f"<repro-kernel {self.expr.notation()[:60]}>",
-            "exec",
-        )
-        exec(code, namespace)  # noqa: S102 - our own generated source
-        self.fn = namespace["kernel"]
-
-    def __repr__(self) -> str:
-        return f"CompiledKernel({self.expr.notation()})"
-
-
-#: process-wide kernel registry: gateway SWAPs and design-space sweeps
-#: over recurring filters reuse compilations across engines and workers
-_KERNELS: OrderedDict[str, CompiledKernel] = (  # guarded-by: _KERNELS_LOCK
+#: process-wide registry of verified plans: gateway SWAPs and
+#: design-space sweeps over recurring filters reuse them across engines
+#: and workers
+_KERNELS: OrderedDict[str, KernelPlan] = (  # guarded-by: _KERNELS_LOCK
     OrderedDict()
 )
 _KERNELS_LOCK = threading.Lock()
 
 
-def kernel_for(expr: comp.RawFilter) -> tuple[CompiledKernel, bool]:
-    """``(kernel, reused)`` for an expression, LRU-cached by fingerprint."""
+def kernel_for(expr: comp.RawFilter) -> tuple[KernelPlan, bool]:
+    """``(plan, reused)`` for an expression, LRU-cached by fingerprint.
+
+    A new plan is proven equivalent to ``expr`` before it is returned;
+    a failure raises :class:`~repro.errors.KernelVerificationError`.
+    """
     key = expr.cache_key()
     with _KERNELS_LOCK:
-        kernel = _KERNELS.get(key)
-        if kernel is not None:
+        plan = _KERNELS.get(key)
+        if plan is not None:
             _KERNELS.move_to_end(key)
-            return kernel, True
-    kernel = CompiledKernel(expr)
+            return plan, True
+    # imported on first compile: processes that never compile a plan
+    # do not load the analysis package
+    from ..analysis.kernel_verify import verify_plan
+
+    plan = build_plan(expr)
+    verify_plan(plan)
     with _KERNELS_LOCK:
         if key in _KERNELS:  # raced another thread; keep the winner
             return _KERNELS[key], True
-        _KERNELS[key] = kernel
+        _KERNELS[key] = plan
         while len(_KERNELS) > KERNEL_CACHE_SIZE:
             _KERNELS.popitem(last=False)
-    return kernel, False
+    return plan, False
 
 
 def compiled_kernel_count() -> int:
@@ -467,7 +359,7 @@ def compiled_kernel_count() -> int:
 
 
 def clear_kernels() -> None:
-    """Drop all cached kernels (tests / cold benchmarks)."""
+    """Drop all cached plans (tests / cold benchmarks)."""
     with _KERNELS_LOCK:
         _KERNELS.clear()
 
@@ -488,12 +380,11 @@ def _gather(dataset: Dataset, indices: np.ndarray) -> Dataset:
 
 
 class KernelState:
-    """Mutable per-batch state threaded through one kernel invocation."""
+    """Mutable per-batch state threaded through one plan's pass."""
 
     __slots__ = ("dataset", "plan", "num_records", "active", "pending",
                  "result", "full", "view", "cache", "fingerprint",
-                 "precomputed", "short_circuited", "steps_run",
-                 "steps_skipped")
+                 "precomputed", "short_circuited")
 
     def __init__(self, dataset: Any, plan: KernelPlan) -> None:
         self.dataset = dataset
@@ -513,8 +404,6 @@ class KernelState:
         self.precomputed: dict[int, np.ndarray] = {}
         #: record-scans later atoms were spared by earlier rejections
         self.short_circuited = 0
-        self.steps_run = 0
-        self.steps_skipped = 0
 
     @property
     def n_active(self) -> int:
@@ -536,13 +425,11 @@ class KernelState:
 class CompiledBackend(Backend):
     """Fused-kernel evaluation of raw-filter expressions.
 
-    Acts as the kernel context (``ctx``) for its compiled kernels: the
-    generated step functions call back into :meth:`precomputed_bits` /
-    :meth:`string_bits` / :meth:`atom_bits` / :meth:`refine` /
-    :meth:`accumulate`, keeping all counters and cache integration in
-    one place while the generated code carries the per-filter
-    specialisation (step set, constants, dispatch).  Every kernel it
-    runs was verified when it was compiled (see :class:`CompiledKernel`).
+    :meth:`match_bits` runs the filter's verified :class:`KernelPlan`
+    step by step in the order :meth:`order_for` picks, through
+    :meth:`string_bits` / :meth:`atom_bits` and :meth:`refine` /
+    :meth:`accumulate`; every plan was proven equivalent to its
+    expression when it was compiled (see :func:`kernel_for`).
     """
 
     name = "compiled"
@@ -584,12 +471,12 @@ class CompiledBackend(Backend):
         dataset = as_dataset(records)
         if len(dataset) == 0:
             return np.zeros(0, dtype=bool)
-        kernel, reused = kernel_for(expr)
+        plan, reused = kernel_for(expr)
         if reused:
             self.kernels_reused += 1
         else:
             self.kernels_compiled += 1
-        state = KernelState(dataset, kernel.plan)
+        state = KernelState(dataset, plan)
         if self.atom_cache is not None:
             state.fingerprint = dataset_fingerprint(dataset)
             # whole-expression mask first — repeated corpora (warm
@@ -601,9 +488,35 @@ class CompiledBackend(Backend):
             if cached is not None:
                 return np.array(cached, dtype=bool)
             self._probe_cache(state)
-        self._seed_selectivity(kernel, state)
-        order = self.order_for(kernel.plan)
-        bits = kernel.fn(self, state, order)
+        self._seed_selectivity(state)
+        order = self.order_for(plan)
+        apply = self.accumulate if plan.mode == "or" else self.refine
+        for position, index in enumerate(order):
+            if state.n_active == 0:
+                # the rest of the order never scans
+                state.short_circuited += (
+                    (len(order) - position) * state.num_records
+                )
+                break
+            step = plan.steps[index]
+            step_bits = state.precomputed.get(index)
+            if step_bits is not None:
+                if not state.full:
+                    step_bits = step_bits[state.active]
+            elif isinstance(step.atom, comp.StringPredicate):
+                # direct matcher sweep; a full-batch mask is cached
+                step_bits = self.string_bits(
+                    state, step.atom.needle, step.atom.block
+                )
+                if state.full and state.fingerprint is not None:
+                    self.atom_cache.put(
+                        state.fingerprint, step.atom.cache_key(),
+                        step_bits,
+                    )
+            else:
+                step_bits = self.atom_bits(state, step.atom)
+            apply(state, step_bits, index)
+        bits = self.finish(state)
         self.atoms_short_circuited += state.short_circuited
         if self.atom_cache is not None and state.fingerprint is not None:
             # the finished result is always a full-batch mask; caching
@@ -637,17 +550,15 @@ class CompiledBackend(Backend):
 
     # -- ordering -----------------------------------------------------------
 
-    def _seed_selectivity(
-        self, kernel: CompiledKernel, state: KernelState
-    ) -> None:
-        """First batch of a kernel's life: sample a head slice.
+    def _seed_selectivity(self, state: KernelState) -> None:
+        """First batch of a plan's life: sample a head slice.
 
         Evaluating every step atom over the first few hundred records
         costs a fraction of one full sweep and replaces the uniform
         pass-rate prior with measured rates, so even the first
         full-batch ordering decision is selectivity-informed.
         """
-        key = kernel.expr.cache_key()
+        key = state.plan.expr.cache_key()
         if key in self._sampled:
             return
         self._sampled.add(key)
@@ -657,7 +568,7 @@ class CompiledBackend(Backend):
         view = harness.DatasetView(state.dataset.slice(0, count))
         cache: dict[Any, Any] = {}
         tracker = self.tracker()
-        for step in kernel.plan.steps:
+        for step in state.plan.steps:
             bits = harness.evaluate_atom(view, step.atom, cache)
             tracker.observe(
                 step.atom, count, int(np.count_nonzero(bits))
@@ -696,30 +607,16 @@ class CompiledBackend(Backend):
             order.append(index)
         return order
 
-    # -- kernel context (called from generated code) ------------------------
+    # -- plan steps ---------------------------------------------------------
 
     def _probe_cache(self, state: KernelState) -> None:
         """Feed cached atom masks into the pass as precomputed inputs."""
-        if self.atom_cache is None:
-            return
-        state.fingerprint = dataset_fingerprint(state.dataset)
         for step in state.plan.steps:
             bits = self.atom_cache.lookup(
                 state.fingerprint, step.atom.cache_key()
             )
             if bits is not None:
                 state.precomputed[step.index] = bits
-
-    def precomputed_bits(
-        self, state: KernelState, index: int
-    ) -> np.ndarray | None:
-        """The cached full-batch mask for a step, cut to the active set."""
-        full = state.precomputed.get(index)
-        if full is None:
-            return None
-        if state.full:
-            return full
-        return full[state.active]
 
     def _ensure_view(self, state: KernelState) -> None:
         if state.view is not None:
@@ -765,18 +662,6 @@ class CompiledBackend(Backend):
         self._ensure_view(state)
         return harness.evaluate_atom(state.view, atom, state.cache)
 
-    def store(
-        self, state: KernelState, index: int, bits: np.ndarray
-    ) -> None:
-        """Insert a full-batch mask into the shared AtomCache."""
-        if (self.atom_cache is None or not state.full
-                or state.fingerprint is None):
-            return
-        step = state.plan.steps[index]
-        self.atom_cache.put(
-            state.fingerprint, step.atom.cache_key(), bits
-        )
-
     def refine(self, state: KernelState, bits: Any, index: int) -> None:
         """AND-plan step result: shrink the active set (maybe lazily).
 
@@ -795,7 +680,6 @@ class CompiledBackend(Backend):
         passed = int(np.count_nonzero(bits))
         self.tracker().observe(step.atom, evaluated, passed)
         state.short_circuited += state.num_records - evaluated
-        state.steps_run += 1
         survivors = bits if state.pending is None else (
             bits & state.pending
         )
@@ -823,7 +707,6 @@ class CompiledBackend(Backend):
         passed = int(np.count_nonzero(bits))
         self.tracker().observe(step.atom, evaluated, passed)
         state.short_circuited += state.num_records - evaluated
-        state.steps_run += 1
         fresh = bits if state.pending is None else (
             bits & state.pending
         )
@@ -840,11 +723,6 @@ class CompiledBackend(Backend):
             state.pending = None
         else:
             state.pending = remaining
-
-    def note_skipped(self, state: KernelState, remaining: int) -> None:
-        """The active set emptied: the rest of the order never scans."""
-        state.steps_skipped += remaining
-        state.short_circuited += remaining * state.num_records
 
     def finish(self, state: KernelState) -> np.ndarray:
         if state.plan.mode == "and":

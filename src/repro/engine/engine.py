@@ -46,8 +46,8 @@ DEFAULT_CHUNK_BYTES = 1 << 20
 class EngineConfig:
     """Execution parameters of a :class:`FilterEngine`."""
 
-    #: every compiled kernel is verified before it runs (see
-    #: :class:`~repro.engine.compiled.CompiledKernel`); not a setting
+    #: every compiled plan is verified before it runs (see
+    #: :func:`~repro.engine.compiled.kernel_for`); not a setting
     verify_kernels = True
 
     def __init__(self, backend="compiled",

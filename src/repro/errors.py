@@ -58,11 +58,10 @@ class CachePersistenceError(ReproError):
 
 
 class KernelVerificationError(ReproError):
-    """A generated fused kernel failed static verification.
+    """A compiled kernel plan failed static verification.
 
-    Raised at codegen/registration time by
-    :mod:`repro.analysis.kernel_verify` when a compiled kernel's source
-    escapes the kernel ABI whitelist or its evaluation plan is not
+    Raised when a plan is compiled, by
+    :mod:`repro.analysis.kernel_verify`, if the plan is not
     boolean-equivalent to the filter expression it claims to implement
     — a miscompile surfaces as a typed error instead of wrong bits.
     """

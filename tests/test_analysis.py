@@ -1,13 +1,12 @@
 """Static analysis & verification (``repro.analysis``).
 
-Covers the three passes end to end: the kernel verifier's source
-whitelist and truth-table plan-equivalence proof (accepting every plan
-the real codegen emits, rejecting injected miscompiles), the
-annotation-driven lock-discipline checker, the resource-lifecycle
-linter, the baseline machinery, the ``repro lint`` CLI, and the
-verification every :class:`CompiledKernel` runs before its source is
-executed — including that the whole shipped tree is
-finding-free with an empty baseline.
+Covers the three passes end to end: the kernel verifier's truth-table
+plan-equivalence proof (accepting every plan the real plan builder
+emits, rejecting injected miscompiles), the annotation-driven
+lock-discipline checker, the resource-lifecycle linter, the baseline
+machinery, the ``repro lint`` CLI, and the verification ``kernel_for``
+runs before a plan's first batch — including that the whole shipped
+tree is finding-free with an empty baseline.
 """
 
 import json
@@ -32,9 +31,6 @@ from repro.analysis import (
     plan_violations,
     run_lint,
     save_baseline,
-    source_violations,
-    verify_kernel,
-    verify_kernel_source,
     verify_plan,
 )
 from repro.analysis import lifecycle, lockcheck
@@ -43,7 +39,6 @@ from repro.data import load_dataset
 from repro.engine import FilterEngine, clear_kernels
 from repro.engine.compiled import (
     CompiledBackend,
-    CompiledKernel,
     KernelPlan,
     KernelStep,
     build_plan,
@@ -96,60 +91,17 @@ def random_expression(rng, depth=0):
 
 
 # ---------------------------------------------------------------------------
-# kernel source whitelist
-# ---------------------------------------------------------------------------
-
-class TestSourceWhitelist:
-    def test_real_codegen_is_clean(self):
-        for expr in (
-            comp.s("temperature", 1),
-            qs1_style_filter(),
-            comp.Or([qs1_style_filter(), comp.s("rain", 1)]),
-        ):
-            kernel = CompiledKernel(expr)
-            assert source_violations(kernel.source) == []
-            verify_kernel_source(kernel.source)  # does not raise
-
-    def test_injected_import_refused(self):
-        source = CompiledKernel(qs1_style_filter()).source
-        bad = "import os\n" + source
-        assert source_violations(bad)
-        with pytest.raises(KernelVerificationError):
-            verify_kernel_source(bad)
-
-    def test_attribute_escape_refused(self):
-        source = CompiledKernel(qs1_style_filter()).source
-        bad = source.replace("ctx.finish(state)", "ctx.__class__")
-        assert any("__class__" in v for v in source_violations(bad))
-
-    def test_disallowed_name_and_call_refused(self):
-        source = CompiledKernel(qs1_style_filter()).source
-        assert source_violations(
-            source.replace("len(order)", "open('/etc/passwd')")
-        )
-        assert source_violations(
-            source.replace("state.n_active", "state.result")
-        )
-
-    def test_unparseable_source_refused(self):
-        assert source_violations("def kernel(:\n")
-
-
-# ---------------------------------------------------------------------------
 # plan equivalence
 # ---------------------------------------------------------------------------
 
 class TestPlanEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_fuzz_accepts_every_real_plan(self, seed):
-        """Whatever the fuzzer builds, codegen's own plan verifies."""
+        """Whatever the fuzzer builds, the builder's own plan verifies."""
         rng = random.Random(seed)
         for _ in range(12):
-            kernel = CompiledKernel(random_expression(rng))
-            assert source_violations(kernel.source) == []
-            assert plan_violations(kernel.plan) == [], (
-                kernel.expr.notation()
-            )
+            plan = build_plan(random_expression(rng))
+            assert plan_violations(plan) == [], plan.expr.notation()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_rejects_swapped_exact_atom(self, seed):
@@ -224,14 +176,14 @@ class TestPlanEquivalence:
 
 class TestVerifyWiring:
     def test_verification_memoised_by_fingerprint(self, monkeypatch):
-        """A kernel_for hit reuses the verified kernel: no re-verify."""
+        """A kernel_for hit reuses the verified plan: no re-verify."""
         calls = []
 
-        def counting_verify(kernel):
-            calls.append(kernel.expr.notation())
-            verify_kernel(kernel)
+        def counting_verify(plan):
+            calls.append(plan.expr.notation())
+            verify_plan(plan)
 
-        monkeypatch.setattr(kernel_verify, "verify_kernel",
+        monkeypatch.setattr(kernel_verify, "verify_plan",
                             counting_verify)
         try:
             clear_kernels()
@@ -242,18 +194,6 @@ class TestVerifyWiring:
             assert len(calls) == 1
         finally:
             clear_kernels()
-
-    def test_kernel_source_verified_before_exec(self, monkeypatch):
-        """Generated source is proven before any of it runs: a
-        module-level statement the whitelist refuses never executes."""
-        real_codegen = compiled_module.generate_kernel_source
-        monkeypatch.setattr(
-            compiled_module, "generate_kernel_source",
-            lambda plan: real_codegen(plan)
-            + 'raise RuntimeError("executed")\n',
-        )
-        with pytest.raises(KernelVerificationError):
-            CompiledKernel(comp.s("temperature", 1))
 
     def test_verification_runs_without_pytest(self):
         """Verification does not depend on the test runner: a plain
@@ -323,25 +263,6 @@ class TestVerifyWiring:
             clear_kernels()
             with pytest.raises(KernelVerificationError):
                 CompiledBackend().match_bits(qs1_style_filter(), dataset)
-        finally:
-            clear_kernels()
-
-    def test_injected_source_raises_through_backend(self, monkeypatch):
-        real_codegen = compiled_module.generate_kernel_source
-
-        def evil_codegen(plan):
-            return real_codegen(plan) + "\nimport os\n"
-
-        dataset = load_dataset("smartcity", 100, seed=5)
-        try:
-            monkeypatch.setattr(
-                compiled_module, "generate_kernel_source", evil_codegen
-            )
-            clear_kernels()
-            with pytest.raises(KernelVerificationError):
-                CompiledBackend().match_bits(
-                    comp.s("temperature", 1), dataset
-                )
         finally:
             clear_kernels()
 
@@ -514,11 +435,15 @@ class TestRunner:
     def test_kernel_selfcheck_clean_on_real_codegen(self):
         assert kernel_selfcheck() == []
 
-    def test_kernel_selfcheck_catches_injected_escape(self, monkeypatch):
-        real_codegen = compiled_module.generate_kernel_source
+    def test_kernel_selfcheck_catches_corrupted_plan(self, monkeypatch):
+        """A plan builder that runs AND plans with OR short-circuiting
+        surfaces as kernel-verify findings."""
+        real_build_plan = compiled_module.build_plan
         monkeypatch.setattr(
-            compiled_module, "generate_kernel_source",
-            lambda plan: real_codegen(plan) + "\nimport os\n",
+            compiled_module, "build_plan",
+            lambda expr: KernelPlan(
+                expr, "or", real_build_plan(expr).steps
+            ),
         )
         findings = kernel_selfcheck()
         assert findings

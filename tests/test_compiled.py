@@ -28,7 +28,6 @@ from repro.engine import (
 from repro.engine.compiled import (
     build_plan,
     cost_seed,
-    generate_kernel_source,
     kernel_for,
 )
 
@@ -75,7 +74,7 @@ class TestSelectivityTracker:
 
 
 # ---------------------------------------------------------------------------
-# plans and codegen
+# plans and the plan registry
 # ---------------------------------------------------------------------------
 
 class TestKernelPlan:
@@ -129,20 +128,6 @@ class TestKernelPlan:
 
 
 class TestCodegen:
-    def test_source_contains_step_functions_and_driver(self):
-        plan = build_plan(qs1_style_filter())
-        source = generate_kernel_source(plan)
-        for step in plan.steps:
-            assert f"def _step_{step.index}(ctx, state):" in source
-        assert "def kernel(ctx, state, order):" in source
-        assert "_STEPS" in source
-
-    def test_kernel_source_retained_on_kernel(self):
-        clear_kernels()
-        kernel, reused = kernel_for(comp.s("temperature", 1))
-        assert not reused
-        assert "def kernel" in kernel.source
-
     def test_registry_reuses_by_fingerprint(self):
         clear_kernels()
         first, reused_first = kernel_for(qs1_style_filter())
@@ -157,6 +142,18 @@ class TestCodegen:
             comp.group(comp.s("light", 1), comp.v("1345", "26282"))
         )
         assert 0 < string_cost < group_cost
+
+    def test_cost_seed_ignores_synthesised_luts(self):
+        """A design-space sweep costing an atom first must not change
+        its seed: the order depends on the filter, not on history."""
+        from repro.core.cost import atom_luts
+
+        number = comp.v("2.5", "17.25")
+        group = comp.group(comp.s("humidity", 1), comp.v("3.5", "61.5"))
+        for atom in (number, group):
+            atom_luts(atom)
+        assert cost_seed(number) == 72.0
+        assert cost_seed(group) == 36.0 + (4.0 + 8.0) + 72.0
 
 
 class TestOrdering:
