@@ -6,7 +6,8 @@ wired into the engine itself):
 * :mod:`~repro.analysis.kernel_verify` — proves every compiled kernel
   plan boolean-equivalent to its filter expression
   (:func:`~repro.engine.compiled.kernel_for` runs it before the plan's
-  first batch);
+  first batch), and proves each number DFA sound for the token
+  index's digit-free-token drop;
 * :mod:`~repro.analysis.lockcheck` — ``# guarded-by:``-annotation-
   driven lock-discipline checking over the codebase's shared state;
 * :mod:`~repro.analysis.lifecycle` — resource-lifecycle rules
@@ -21,7 +22,11 @@ from .findings import (
     load_baseline,
     save_baseline,
 )
-from .kernel_verify import plan_violations, verify_plan
+from .kernel_verify import (
+    plan_violations,
+    verify_plan,
+    verify_token_drop,
+)
 from .runner import (
     ALL_RULES,
     default_lint_root,
@@ -44,4 +49,5 @@ __all__ = [
     "run_lint",
     "save_baseline",
     "verify_plan",
+    "verify_token_drop",
 ]

@@ -18,6 +18,14 @@ a *necessary condition* on its own — the ordering logic is free to
 drop or reorder prefilters, so their soundness must not depend on the
 exact steps running first.
 
+The number-token index (:meth:`repro.eval.harness.DatasetView.tokens`)
+drops lone non-digit tokens before any DFA runs — on JSON records most
+of them are the ``e`` of a key such as ``temperature``.  That is sound
+only for a DFA that accepts no digit-free string, so
+:func:`verify_token_drop` proves it per DFA by reachability from the
+start state over the non-digit token bytes ``+ - . e E``; the harness
+checks each DFA before it steps one, on every backend.
+
 Failures raise the typed
 :class:`~repro.errors.KernelVerificationError` from
 :func:`~repro.engine.compiled.kernel_for`, in every process and with
@@ -30,11 +38,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Any, Iterator, Protocol
 
 from ..core import composition as comp
+from ..regex.charclass import DIGITS, NUMBER_TOKEN_CHARS
 from ..errors import KernelVerificationError
 
+#: the token characters a digit-free token is made of (``+ - . e E``)
+_NON_DIGIT_TOKEN_BYTES = sorted(NUMBER_TOKEN_CHARS - DIGITS)
 #: past this many variables the truth table is sampled, not exhausted
 MAX_EXHAUSTIVE_VARIABLES = 14
 #: deterministic assignment sample size for very wide expressions
@@ -217,3 +229,30 @@ def verify_plan(plan: _PlanLike) -> None:
     if violations:
         raise _fail(plan, "; ".join(violations[:4]))
 
+
+@lru_cache(maxsize=256)
+def verify_token_drop(dfa: Any) -> None:
+    """Raise :class:`KernelVerificationError` if ``dfa`` accepts a
+    digit-free token, naming the shortest one.
+
+    Breadth-first reachability from ``start`` over the non-digit token
+    bytes; a DFA that passes is cached, so the check costs one lookup
+    per step.
+    """
+    witness = {dfa.start: b""}
+    frontier = [dfa.start]
+    while frontier:
+        following = []
+        for state in frontier:
+            if dfa.accepting[state]:
+                raise KernelVerificationError(
+                    "number DFA accepts the digit-free token "
+                    f"{witness[state]!r}, which the number-token index "
+                    "drops"
+                )
+            for byte in _NON_DIGIT_TOKEN_BYTES:
+                target = int(dfa.table[state, byte])
+                if target not in witness:
+                    witness[target] = witness[state] + bytes((byte,))
+                    following.append(target)
+        frontier = following

@@ -11,8 +11,9 @@ Evaluation is offered at three speeds:
 * :meth:`token_accepts` — one token (reference semantics);
 * :meth:`fire_positions` / :meth:`record_matches` — one record;
 * :func:`batch_token_accepts` — lock-step vectorised DFA stepping over a
-  whole dataset's token matrix (built once per dataset and shared by all
-  number filters; see :mod:`repro.core.vectorized`).
+  whole dataset's token columns (built once per dataset by
+  :func:`token_columns` and shared by all number filters; see
+  :class:`repro.eval.harness.DatasetView`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from ..regex.range_regex import number_range_regex
 TOKEN_CHAR_TABLE = np.zeros(256, dtype=bool)
 for _code in NUMBER_TOKEN_CHARS:
     TOKEN_CHAR_TABLE[_code] = True
+#: lookup table: byte value -> is it a decimal digit
+DIGIT_TABLE = np.zeros(256, dtype=bool)
+DIGIT_TABLE[ord("0"):ord("9") + 1] = True
 
 
 def _bound_key(bound):
@@ -103,34 +107,59 @@ class NumberRangeFilter:
 
 def token_spans(arr):
     """(start, end) spans of maximal numeric-token runs in a byte array."""
-    is_token = TOKEN_CHAR_TABLE[arr]
-    if not is_token.any():
-        return []
-    padded = np.concatenate(([False], is_token, [False]))
-    delta = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(delta == 1)
-    ends = np.flatnonzero(delta == -1)
+    starts, ends = token_edges(arr)
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def batch_token_accepts(dfa, token_matrix, token_lengths):
+def token_edges(arr):
+    """``(starts, ends)`` of the maximal numeric-token runs in ``arr``."""
+    is_token = TOKEN_CHAR_TABLE[arr]
+    padded = np.zeros(is_token.shape[0] + 2, dtype=bool)
+    padded[1:-1] = is_token
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2]
+
+
+def token_columns(arr, starts, lengths):
+    """Gather tokens column by column, longest first.
+
+    Returns ``(columns, order)``: ``order`` sorts the tokens longest
+    first, and ``columns[c]`` holds byte ``c`` of every token longer
+    than ``c``, in that order — so each column is a prefix of the one
+    before it and the columns together hold exactly the token bytes.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    sorted_starts = starts[order]
+    descending = lengths[order]
+    max_len = int(descending[0]) if descending.size else 0
+    # counts[c]: tokens longer than c (a prefix of the sorted order)
+    counts = np.searchsorted(
+        -descending, -np.arange(max_len), side="left"
+    )
+    columns = [
+        arr[sorted_starts[:count] + column]
+        for column, count in enumerate(counts.tolist())
+    ]
+    return columns, order
+
+
+def batch_token_accepts(dfa, columns, order):
     """Run a DFA over many tokens in lock step.
 
     Args:
         dfa: a :class:`~repro.regex.dfa.DFA`.
-        token_matrix: uint8 array of shape ``(num_tokens, max_len)``,
-            zero-padded after each token.
-        token_lengths: int array of shape ``(num_tokens,)``.
+        columns, order: the tokens as :func:`token_columns` lays them
+            out; column ``c`` steps only the tokens longer than ``c``,
+            so the work is the number of token bytes.
     Returns:
-        boolean array: token accepted by the DFA.
+        boolean array over the tokens in their original order: token
+        accepted by the DFA.
     """
-    num_tokens, max_len = token_matrix.shape
-    states = np.full(num_tokens, dfa.start, dtype=np.int32)
+    states = np.full(order.shape[0], dfa.start, dtype=np.int32)
     table = dfa.table
-    for column in range(max_len):
-        active = token_lengths > column
-        if not active.any():
-            break
-        stepped = table[states, token_matrix[:, column]]
-        states = np.where(active, stepped, states)
-    return dfa.accepting[states]
+    for column in columns:
+        live = column.shape[0]
+        states[:live] = table[states[:live], column]
+    accepted = np.empty(order.shape[0], dtype=bool)
+    accepted[order] = dfa.accepting[states]
+    return accepted

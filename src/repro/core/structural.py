@@ -1,12 +1,16 @@
 """Behavioural structural awareness (paper §III-C).
 
-Two implementations of the same semantics:
+Three implementations of the same semantics:
 
 * :class:`ScopeMachine` — a byte-per-cycle reference that mirrors the
   hardware tracker register for register (test oracle);
-* the vectorised functions (:func:`string_mask`, :func:`depth_array`,
-  :func:`scope_close_positions`) — closed-form numpy computations used by
-  the dataset-scale evaluator.
+* the vectorised per-record functions (:func:`string_mask`,
+  :func:`depth_array`, :func:`scope_close_positions`) — closed-form
+  numpy computations used by the scalar group evaluation;
+* :func:`structural_index` — a sparse, simdjson-style stage-1 index
+  over a whole batch of records (the dataset-scale evaluator's view),
+  which resets the tracker at every record start like the hardware's
+  ``record_reset``.
 
 Semantics recap: a quote toggles "inside string" unless escaped; a
 backslash inside a string escapes the next character; unmasked brackets
@@ -25,6 +29,14 @@ _BACKSLASH = ord("\\")
 _OPENERS = (ord("{"), ord("["))
 _CLOSERS = (ord("}"), ord("]"))
 _COMMA = ord(",")
+
+#: byte classes of the structural index (0: not structural)
+_QUOTE_CLASS, _BACKSLASH_CLASS, _CLOSE_CLASS, _COMMA_CLASS = 1, 2, 3, 4
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[_QUOTE] = _QUOTE_CLASS
+_CLASS[_BACKSLASH] = _BACKSLASH_CLASS
+_CLASS[list(_CLOSERS)] = _CLOSE_CLASS
+_CLASS[_COMMA] = _COMMA_CLASS
 
 
 class ScopeMachine:
@@ -114,6 +126,60 @@ def comma_positions(arr, masked=None):
     if masked is None:
         masked = string_mask(arr)
     return np.flatnonzero((arr == _COMMA) & ~masked)
+
+
+def structural_index(stream, starts):
+    """Scope closes and commas outside strings, record by record.
+
+    ``stream`` holds newline-terminated records beginning at ``starts``.
+    Returns ``(closes, commas, close_records)``: the sorted positions of
+    the closing brackets and of the commas that lie outside strings,
+    and the record index of each close.  Each record starts outside a
+    string, so an unbalanced quote never masks a later record: the
+    result equals :func:`scope_close_positions` / :func:`comma_positions`
+    applied to each record on its own.
+
+    Work is one class lookup per byte, then proportional to the
+    structural bytes: a quote is escaped when the backslash run ending
+    just before it is odd (runs never cross the newline between
+    records), and a closer or comma is outside a string when an even
+    number of unescaped quotes precede it within its record.
+    """
+    classes = _CLASS[stream]
+    positions = np.flatnonzero(classes)
+    kinds = classes[positions]
+    quotes = positions[kinds == _QUOTE_CLASS]
+    backslashes = positions[kinds == _BACKSLASH_CLASS]
+    if backslashes.size and quotes.size:
+        # index of the first backslash of the run holding each backslash
+        breaks = np.ones(backslashes.shape[0], dtype=bool)
+        breaks[1:] = backslashes[1:] != backslashes[:-1] + 1
+        run_first = np.maximum.accumulate(
+            np.where(breaks, np.arange(breaks.shape[0]), 0)
+        )
+        before = np.searchsorted(backslashes, quotes)
+        last = np.maximum(before - 1, 0)
+        adjacent = (before > 0) & (backslashes[last] == quotes - 1)
+        run_length = before - run_first[last]
+        quotes = quotes[~(adjacent & (run_length % 2 == 1))]
+    closes = positions[kinds == _CLOSE_CLASS]
+    commas = positions[kinds == _COMMA_CLASS]
+    close_records = np.searchsorted(starts, closes, side="right") - 1
+    comma_records = np.searchsorted(starts, commas, side="right") - 1
+    record_quotes = np.searchsorted(quotes, starts)
+    closes_out = _outside_strings(
+        quotes, closes, record_quotes[close_records]
+    )
+    commas_out = _outside_strings(
+        quotes, commas, record_quotes[comma_records]
+    )
+    return closes[closes_out], commas[commas_out], close_records[closes_out]
+
+
+def _outside_strings(quotes, positions, quotes_before_record):
+    """Which ``positions`` see an even number of record-local quotes."""
+    preceding = np.searchsorted(quotes, positions) - quotes_before_record
+    return (preceding & 1) == 0
 
 
 def group_fire_closes(close_positions, child_fire_cumsums):

@@ -19,8 +19,8 @@ count-capped and reported separately in ``stats()``); cached arrays
 are frozen (non-writeable) so a hit can be handed out without copying.
 
 The cache also memoises :class:`~repro.eval.harness.DatasetView`
-instances per fingerprint — the numeric token matrix and structural
-masks are by far the most expensive per-dataset state, and every atom
+instances per fingerprint — the numeric token columns and structural
+index are by far the most expensive per-dataset state, and every atom
 evaluated against the same corpus shares them.
 
 One :class:`AtomCache` hangs off a :class:`~repro.engine.FilterEngine`
@@ -271,16 +271,16 @@ class AtomCache:
     def view_for(self, dataset):
         """The memoised :class:`DatasetView` for a dataset's content.
 
-        Token matrices and structural masks are the heaviest per-dataset
-        state; sharing one view across every query touching the same
-        corpus is what makes repeated design-space sweeps cheap.
+        Token columns and structural indexes are the heaviest
+        per-dataset state; sharing one view across every query touching
+        the same corpus is what makes repeated design-space sweeps cheap.
 
         Views are **count-bounded** (``max_views``), not byte-bounded:
         each memoised view pins its corpus (records, stream, lazily
-        built token matrix).  ``stats()['view_bytes']`` reports the
-        retained footprint; :meth:`clear` releases it.  For very large
-        corpora, prefer a dedicated engine (or clear between runs) over
-        the process-wide default engine.
+        built token and structural indexes).  ``stats()['view_bytes']``
+        reports the retained footprint; :meth:`clear` releases it.  For
+        very large corpora, prefer a dedicated engine (or clear between
+        runs) over the process-wide default engine.
         """
         fingerprint = dataset_fingerprint(dataset)
         with self._lock:
@@ -400,14 +400,11 @@ class AtomCache:
 
     def view_bytes(self):
         """Approximate bytes retained by the memoised dataset views
-        (corpus stream + token matrix where already built)."""
+        (corpus stream + token and structural indexes already built)."""
         total = 0
         with self._lock:
             for view in self._views.values():
-                total += view.dataset.total_bytes
-                token_view = getattr(view, "_token_view", None)
-                if token_view is not None:
-                    total += int(token_view[0].nbytes)
+                total += view.dataset.total_bytes + view.index_bytes()
         return total
 
     def stats(self):

@@ -113,7 +113,7 @@ class VectorizedBackend(Backend):
     filters — skips the vectorised sweeps entirely.  Without a cache,
     the most recent batch's ``DatasetView`` is still memoised by batch
     identity, so repeated queries over the same in-memory records do
-    not pay the token-matrix/structural rebuilds.
+    not pay the token-column/structural-index rebuilds.
     """
 
     name = "vectorized"
@@ -154,7 +154,7 @@ class VectorizedBackend(Backend):
         Identity (not content) keeps the cache-disabled path free of
         hashing; re-evaluating the same records list/Dataset — the
         repeated-query and per-chunk streaming patterns — reuses the
-        token matrix and structural masks instead of rebuilding them.
+        token columns and structural index instead of rebuilding them.
         """
         memo = self._view_memo
         if memo is not None and memo[0] is records:

@@ -29,7 +29,7 @@ plan as a single selectivity-ordered pass over the record batch:
 * each step only touches the bytes of records still alive: rejected
   records are **masked out of every later atom's scan** by gathering
   the survivors into a compact sub-stream, so the expensive primitives
-  (token-matrix builds, structural masks, regex loops) run over a
+  (token-column builds, structural indexes, regex loops) run over a
   shrinking fraction of the input;
 * plans are cached process-wide by filter fingerprint
   (``expr.cache_key()``), so gateway ``SWAP`` traffic and design-space
@@ -43,10 +43,10 @@ Correctness contract: the kernel is bit-identical to the **scalar
 oracle** (:func:`repro.core.composition.evaluate_record`).  Evaluating
 survivors as their own sub-stream relies on record-local matcher state
 — needles never span the newline separator, numeric tokens are closed
-by it, and structural quote/scope state is record-local on the
-newline-delimited JSON records this repo processes — which is the same
-framing property the stream-level vectorised evaluator and the
-hardware's ``record_reset`` already depend on.  Predicates with no
+by it, and the structural index
+(:func:`repro.core.structural.structural_index`) starts every record
+outside a string, whatever bytes the records before it hold — the
+same property the hardware gets from its ``record_reset``.  Predicates with no
 raw-filter expression form degrade to the vectorized path with a
 once-per-backend warning (see :meth:`CompiledBackend.stats`).
 
@@ -656,7 +656,7 @@ class CompiledBackend(Backend):
         through the shared evaluation cache, so masks and sub-results
         (fire positions, token accepts) are stored exactly like the
         vectorised backend stores them; sub-batch evaluations share a
-        state-local cache (token matrix, structure) between the steps
+        state-local cache (token columns, structure) between the steps
         of the same active set.
         """
         self._ensure_view(state)

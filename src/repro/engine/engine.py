@@ -299,8 +299,8 @@ class FilterEngine:
         The phase-1 entry point used by design-space exploration: with a
         cache attached, atoms shared with previously evaluated queries
         over the same corpus are served from memory, and the expensive
-        :class:`~repro.eval.harness.DatasetView` (token matrix,
-        structural masks) is built once per corpus instead of per query.
+        :class:`~repro.eval.harness.DatasetView` (token columns,
+        structural index) is built once per corpus instead of per query.
         """
         if isinstance(dataset, ChunkSource):
             dataset = self.ingest(dataset)

@@ -7,17 +7,19 @@ Evaluation is two-phase:
   the whole dataset into a per-record boolean array.  All heavy lifting
   is vectorised over the concatenated record stream: window-hit runs for
   string matchers, lock-step DFA stepping over the dataset's numeric
-  token matrix for number filters, closed-form string-mask/nesting for
-  the structural combiner.
+  token columns for number filters (each byte of each token stepped
+  once), and a sparse record-local structural index (scope closes and
+  commas outside strings) for the structural combiner.
 * **Phase 2** (design-space exploration, :mod:`repro.core.design_space`):
   each of the ~10⁵ candidate configurations is a pure boolean
   conjunction of atom arrays, so evaluating its FPR costs a handful of
   numpy ops.
 
 Records are framed with a trailing newline, which closes any trailing
-numeric token and never matches any needle, so no matcher state leaks
-across records — the precise property the per-lane hardware obtains from
-its ``record_reset``.
+numeric token and never matches any needle, and the structural index
+and group segments restart at every record's first byte, so no matcher
+state leaks across records — the precise property the per-lane hardware
+obtains from its ``record_reset``.
 """
 
 from __future__ import annotations
@@ -26,20 +28,21 @@ import numpy as np
 
 from ..core import composition as comp
 from ..core import string_match
-from ..core.number_filter import TOKEN_CHAR_TABLE, batch_token_accepts
-from ..core.structural import (
-    comma_positions,
-    scope_close_positions,
-    string_mask,
+from ..core.number_filter import (
+    DIGIT_TABLE,
+    batch_token_accepts,
+    token_columns,
+    token_edges,
 )
+from ..core.structural import structural_index
 
 
 class DatasetView:
     """Precomputed vectorised views over one dataset.
 
     Built once per dataset and shared by every primitive evaluation: the
-    numeric token matrix in particular is what lets ten different number
-    filters each evaluate in ~max_token_len numpy operations.
+    numeric token columns in particular are what let ten different
+    number filters each step every token byte once.
     """
 
     def __init__(self, dataset):
@@ -54,43 +57,51 @@ class DatasetView:
 
     @property
     def tokens(self):
-        """(matrix, lengths, record_index, end_positions) of all tokens."""
+        """(columns, order, record_index, end_positions) of the tokens.
+
+        ``columns``/``order`` are :func:`token_columns`' layout;
+        ``record_index`` and ``end_positions`` are in stream order.
+        Lone non-digit bytes (the ``e`` of ``temperature``) are not
+        tokens here: no range DFA accepts a digit-free token, which
+        :func:`repro.analysis.kernel_verify.verify_token_drop` proves
+        per DFA before :meth:`number_fire_info` runs it.
+        """
         if self._token_view is None:
             self._token_view = self._build_tokens()
         return self._token_view
 
     def _build_tokens(self):
         arr = self.stream
-        is_token = TOKEN_CHAR_TABLE[arr]
-        padded = np.concatenate(([False], is_token, [False]))
-        delta = np.diff(padded.astype(np.int8))
-        starts = np.flatnonzero(delta == 1)
-        ends = np.flatnonzero(delta == -1)
+        starts, ends = token_edges(arr)
         lengths = ends - starts
-        max_len = int(lengths.max()) if lengths.size else 1
-        matrix = np.zeros((starts.shape[0], max_len), dtype=np.uint8)
-        for column in range(max_len):
-            active = lengths > column
-            matrix[active, column] = arr[starts[active] + column]
+        keep = (lengths > 1) | DIGIT_TABLE[arr[starts]]
+        starts, ends, lengths = starts[keep], ends[keep], lengths[keep]
+        columns, order = token_columns(arr, starts, lengths)
         record_index = (
             np.searchsorted(self.starts, starts, side="right") - 1
         )
-        return matrix, lengths, record_index, ends
+        return columns, order, record_index, ends
 
     # -- structure ------------------------------------------------------------
 
     @property
     def structure(self):
-        """(masked, close_positions, comma_positions, close_record_index)."""
+        """(close_positions, comma_positions, close_record_index)."""
         if self._structural_view is None:
-            masked = string_mask(self.stream)
-            closes = scope_close_positions(self.stream, masked)
-            commas = comma_positions(self.stream, masked)
-            close_records = (
-                np.searchsorted(self.starts, closes, side="right") - 1
+            self._structural_view = structural_index(
+                self.stream, self.starts
             )
-            self._structural_view = (masked, closes, commas, close_records)
         return self._structural_view
+
+    def index_bytes(self):
+        """Bytes held by the token and structural indexes built so far."""
+        arrays = []
+        if self._token_view is not None:
+            columns, *rest = self._token_view
+            arrays += columns + rest
+        if self._structural_view is not None:
+            arrays += self._structural_view
+        return sum(int(array.nbytes) for array in arrays)
 
     # -- per-atom caches ------------------------------------------------------
 
@@ -101,8 +112,11 @@ class DatasetView:
 
     def number_fire_info(self, predicate):
         """(accepted_token_mask) for a NumberPredicate over all tokens."""
-        matrix, lengths, _, _ = self.tokens
-        return batch_token_accepts(predicate.dfa, matrix, lengths)
+        from ..analysis.kernel_verify import verify_token_drop
+
+        verify_token_drop(predicate.dfa)
+        columns, order, _, _ = self.tokens
+        return batch_token_accepts(predicate.dfa, columns, order)
 
 
 def evaluate_atom(view, atom, cache):
@@ -181,7 +195,7 @@ def _child_fire_positions(view, child, cache):
 
 
 def _evaluate_group(view, group, cache):
-    _, closes, commas, close_records = view.structure
+    closes, commas, close_records = view.structure
     if group.comma_scoped:
         boundaries = np.union1d(closes, commas)
         boundary_records = (
@@ -192,6 +206,15 @@ def _evaluate_group(view, group, cache):
         boundary_records = close_records
     if boundaries.size == 0:
         return np.zeros(view.num_records, dtype=bool)
+    # a segment opens after the previous boundary of the same record,
+    # or at the record's first byte: fires never carry across records
+    segment_starts = np.empty_like(boundaries)
+    segment_starts[1:] = boundaries[:-1] + 1
+    opens_record = np.ones(boundaries.shape[0], dtype=bool)
+    opens_record[1:] = boundary_records[1:] != boundary_records[:-1]
+    segment_starts[opens_record] = view.starts[
+        boundary_records[opens_record]
+    ]
     satisfied = np.ones(boundaries.shape[0], dtype=bool)
     for child in group.children:
         try:
@@ -202,9 +225,9 @@ def _evaluate_group(view, group, cache):
                 dtype=bool,
                 count=view.num_records,
             )
-        counts = np.searchsorted(positions, boundaries, side="right")
-        in_segment = np.diff(counts, prepend=0) > 0
-        satisfied &= in_segment
+        satisfied &= np.searchsorted(
+            positions, boundaries, side="right"
+        ) > np.searchsorted(positions, segment_starts)
     result = np.zeros(view.num_records, dtype=bool)
     if satisfied.any():
         result[boundary_records[satisfied]] = True

@@ -32,10 +32,11 @@ from repro.analysis import (
     run_lint,
     save_baseline,
     verify_plan,
+    verify_token_drop,
 )
 from repro.analysis import lifecycle, lockcheck
 from repro.cli import main as cli_main
-from repro.data import load_dataset
+from repro.data import ALL_QUERIES, load_dataset
 from repro.engine import FilterEngine, clear_kernels
 from repro.engine.compiled import (
     CompiledBackend,
@@ -45,6 +46,7 @@ from repro.engine.compiled import (
     kernel_for,
 )
 from repro.errors import ReproError
+from repro.regex.dfa import DFA
 
 
 def qs1_style_filter():
@@ -168,6 +170,61 @@ class TestPlanEquivalence:
         plan = build_plan(expr)
         with pytest.raises(KernelVerificationError):
             verify_plan(KernelPlan(expr, "or", plan.steps[:1]))
+
+
+# ---------------------------------------------------------------------------
+# the number-token index's digit-free-token drop
+# ---------------------------------------------------------------------------
+
+def predicate_accepting_e():
+    """A number atom whose DFA also accepts the lone token ``e``."""
+    atom = comp.v("1.25", "7.75")
+    atom._filter.dfa = DFA.from_pattern("e|[0-9]+")
+    return atom
+
+
+class TestTokenDrop:
+    @pytest.mark.parametrize("allow_exponent", [True, False])
+    def test_every_query_range_passes(self, allow_exponent):
+        ranges = {
+            (str(c.lo), str(c.hi), c.kind)
+            for query in ALL_QUERIES.values()
+            for c in query.conditions
+        }
+        assert len(ranges) == 15
+        for lo, hi, kind in ranges:
+            atom = comp.NumberPredicate(
+                lo, hi, kind, allow_exponent=allow_exponent
+            )
+            verify_token_drop(atom.dfa)
+
+    def test_dfa_accepting_e_is_refused(self):
+        dfa = DFA.from_pattern("e|[0-9]+")
+        with pytest.raises(KernelVerificationError, match="b'e'"):
+            verify_token_drop(dfa)
+        # refused again: a failed proof is never cached
+        with pytest.raises(KernelVerificationError):
+            verify_token_drop(dfa)
+        # a digit-free string longer than one byte is found too
+        with pytest.raises(KernelVerificationError, match="b'-e'"):
+            verify_token_drop(DFA.from_pattern("-e|[0-9]+"))
+
+    def test_compiled_backend_refuses_such_a_dfa(self):
+        expr = comp.group(comp.s("temperature", 1),
+                          predicate_accepting_e())
+        try:
+            clear_kernels()
+            with pytest.raises(KernelVerificationError):
+                CompiledBackend().match_bits(expr, [b'{"t":"e"}'])
+        finally:
+            clear_kernels()
+
+    def test_harness_refuses_such_a_dfa(self):
+        """Paths that skip plans (the vectorized backend, design-space
+        sweeps) get the typed error too, never silently wrong bits."""
+        engine = FilterEngine(backend="vectorized")
+        with pytest.raises(KernelVerificationError):
+            engine.match_bits(predicate_accepting_e(), [b'{"t":"e"}'])
 
 
 # ---------------------------------------------------------------------------

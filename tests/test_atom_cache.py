@@ -342,11 +342,32 @@ class TestCachePolicy:
     def test_stats_report_view_bytes(self):
         dataset = load_dataset("smartcity", 80)
         engine = FilterEngine(cache=True)
+        engine.match_bits(comp.s("temperature", 1), dataset)
+        before = engine.stats()["cache"]["view_bytes"]
+        assert before >= dataset.total_bytes
         engine.match_bits(comp.v_int(0, 9), dataset)
         stats = engine.stats()["cache"]
-        assert stats["view_bytes"] >= dataset.total_bytes
+        columns, _, _, _ = engine.atom_cache.view_for(dataset).tokens
+        token_bytes = sum(column.nbytes for column in columns)
+        assert token_bytes > 0
+        assert stats["view_bytes"] >= before + token_bytes
         engine.atom_cache.clear()
         assert engine.stats()["cache"]["view_bytes"] == 0
+        # the gateway's STATS reads the same figure after a number step
+        from repro.serve import GatewayClient, GatewayThread
+
+        with GatewayThread(engines=1) as gateway:
+            with GatewayClient(
+                "127.0.0.1", gateway.port, tenant="numbers"
+            ) as client:
+                for _ in client.submit(
+                    "v:int:0:9", dataset.stream.tobytes()
+                ):
+                    pass
+                snapshot = client.stats()
+        assert snapshot["engine"]["cache"]["view_bytes"] >= (
+            dataset.total_bytes + token_bytes
+        )
 
     def test_scalar_backend_bypasses_cache(self):
         """The scalar reference oracle must never be cache-served."""

@@ -9,12 +9,15 @@ cannot specialise.
 """
 
 import random
+import time
+import tracemalloc
 import warnings
 
 import pytest
 
 import repro.core.composition as comp
-from repro.data import load_dataset
+from repro.cli import parse_filter_expression
+from repro.data import Dataset, load_dataset
 from repro.engine import (
     AtomCache,
     CompiledBackend,
@@ -30,6 +33,7 @@ from repro.engine.compiled import (
     cost_seed,
     kernel_for,
 )
+from repro.eval.harness import DatasetView, evaluate_atom
 
 
 def qs1_style_filter():
@@ -532,3 +536,85 @@ class TestVectorizedViewMemo:
             fast = backend.match_bits(expr, corpus)
             slow = oracle_backend.match_bits(expr, corpus)
             assert (fast == slow).all(), expr.notation()
+
+
+# ---------------------------------------------------------------------------
+# cost bounded by the token bytes, not the longest token
+# ---------------------------------------------------------------------------
+
+QS1_EXPRESSION = (
+    "and("
+    "group(s:1:temperature,v:float:-12.5:43.1),"
+    "group(s:1:humidity,v:float:10.7:95.2),"
+    "group(s:1:light,v:float:1345:26282),"
+    "group(s:1:dust,v:float:186.61:5188.21),"
+    "group(s:1:airquality_raw,v:int:17:363)"
+    ")"
+)
+#: time and traced-memory bounds for one pass over a long-token batch
+LONG_TOKEN_SECONDS = 2.0
+LONG_TOKEN_BYTES = 64 << 20
+
+
+def timed_and_traced(run):
+    """``(result, seconds, peak traced bytes)`` of ``run``, timed on a
+    first call and traced on a second (tracing slows numpy down)."""
+    start = time.perf_counter()
+    result = run()
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, seconds, peak
+
+
+class TestLongTokens:
+    def test_20000_digit_value_in_a_qs1_batch(self):
+        """One huge number used to cost tokens x longest-token time and
+        memory (42 s and 1.3 GB on a 2-vCPU host); now it costs its
+        own bytes."""
+        expr = parse_filter_expression(QS1_EXPRESSION)
+        corpus = load_dataset("smartcity", 5000, seed=5)
+        records = list(corpus.records)
+        records[100] = records[100].replace(
+            b'"v":"', b'"v":"' + b"1" * 20000, 1
+        )
+        backend = CompiledBackend()
+        want = backend.match_bits(expr, corpus).tolist()  # warm plan
+        want[100] = bool(FilterEngine(backend="scalar").match_bits(
+            expr, [records[100]]
+        )[0])
+        batch = Dataset("long-token", records)
+        bits, seconds, peak = timed_and_traced(
+            lambda: backend.match_bits(expr, batch)
+        )
+        assert bits.tolist() == want
+        assert seconds < LONG_TOKEN_SECONDS
+        assert peak < LONG_TOKEN_BYTES
+
+    def test_numeric_array_record(self):
+        """A ~10 MB record holding 560k numbers: the token index and
+        the number and group steps over it stay within the bounds."""
+        rng = random.Random(1)
+        numbers = [rng.uniform(-1e4, 1e4) for _ in range(560_000)]
+        record = (
+            b'{"e":[{"v":"20.5","n":"temperature"}],"a":['
+            + b",".join(repr(x).encode() for x in numbers) + b"]}"
+        )
+        dataset = Dataset("numeric-array", [record])
+        light = any(1345 <= x <= 26282 for x in numbers)
+        both = light and any(-12.5 <= x <= 43.1 for x in numbers)
+        for atom, want in (
+            (comp.v("1345", "26282"), light),
+            (comp.group(comp.v("-12.5", "43.1"),
+                        comp.v("1345", "26282")), both),
+        ):
+            bits, seconds, peak = timed_and_traced(
+                lambda: evaluate_atom(DatasetView(dataset), atom, {})
+            )
+            assert bits.tolist() == [want]
+            assert seconds < LONG_TOKEN_SECONDS
+            assert peak < LONG_TOKEN_BYTES

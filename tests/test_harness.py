@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.core.composition as comp
+from repro.core.number_filter import token_spans
 from repro.eval.harness import (
     DatasetView,
     evaluate_atom,
@@ -111,13 +112,30 @@ class TestCaching:
         assert view.tokens is view.tokens
 
     def test_token_matrix_shape(self, smartcity_small):
+        """The token columns hold every token with a digit, byte for
+        byte, longest first; lone ``e``-style tokens are dropped."""
         view = DatasetView(smartcity_small)
-        matrix, lengths, record_index, ends = view.tokens
-        assert matrix.shape[0] == lengths.shape[0]
-        assert record_index.shape == lengths.shape
-        assert (lengths >= 1).all()
+        columns, order, record_index, ends = view.tokens
+        counts = [column.shape[0] for column in columns]
+        assert counts == sorted(counts, reverse=True)
+        assert counts[0] == order.shape[0] == record_index.shape[0]
+        assert ends.shape == record_index.shape
+        assert sorted(order.tolist()) == list(range(order.shape[0]))
         assert (record_index >= 0).all()
         assert (record_index < len(smartcity_small)).all()
+        stream = view.stream.tobytes()
+        want = [
+            stream[start:end] for start, end in token_spans(view.stream)
+            if end - start > 1 or stream[start:end].isdigit()
+        ]
+        rebuilt = [b""] * order.shape[0]
+        for column in columns:
+            for rank, byte in enumerate(column.tolist()):
+                rebuilt[order[rank]] += bytes((byte,))
+        assert rebuilt == want
+        assert [stream.rfind(b"\n", 0, e) + 1 for e in ends] == [
+            int(view.starts[r]) for r in record_index
+        ]
 
 
 class TestGroupBoundaries:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.number_filter import (
     NumberRangeFilter,
     batch_token_accepts,
+    token_columns,
     token_spans,
 )
 
@@ -90,22 +91,23 @@ class TestRecordLevel:
         assert f.record_matches(b'{"v":"30.2"}')
 
 
+def columns_of(tokens):
+    """``token_columns`` of ``tokens`` laid out space-separated."""
+    stream = arr(b" ".join(tokens) + b" ")
+    lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths + 1)[:-1]))
+    return token_columns(stream, starts, lengths)
+
+
 class TestBatchStepping:
-    def build_matrix(self, tokens):
-        max_len = max(len(t) for t in tokens)
-        matrix = np.zeros((len(tokens), max_len), dtype=np.uint8)
-        lengths = np.zeros(len(tokens), dtype=np.int64)
-        for i, token in enumerate(tokens):
-            matrix[i, : len(token)] = np.frombuffer(token, dtype=np.uint8)
-            lengths[i] = len(token)
-        return matrix, lengths
+    def step(self, dfa, tokens):
+        return batch_token_accepts(dfa, *columns_of(tokens))
 
     def test_batch_equals_scalar(self):
         f = NumberRangeFilter("0.7", "35.1")
         tokens = [b"0.7", b"0.69", b"35.2", b"35.1", b"12", b"1e3",
                   b"e", b"-5", b"35.10"]
-        matrix, lengths = self.build_matrix(tokens)
-        got = batch_token_accepts(f.dfa, matrix, lengths)
+        got = self.step(f.dfa, tokens)
         want = [f.token_accepts(t) for t in tokens]
         assert got.tolist() == want
 
@@ -120,10 +122,34 @@ class TestBatchStepping:
     def test_batch_equals_scalar_property(self, tokens):
         f = NumberRangeFilter(12, 49, kind="int")
         encoded = [t.encode() for t in tokens]
-        matrix, lengths = self.build_matrix(encoded)
-        got = batch_token_accepts(f.dfa, matrix, lengths)
+        got = self.step(f.dfa, encoded)
         want = [f.token_accepts(t) for t in encoded]
         assert got.tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.text(alphabet="0123456789.-eE+", min_size=1, max_size=64),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    def test_prefix_stepping_over_mixed_lengths(self, tokens):
+        """Token lengths 1..64: each column steps a shorter prefix."""
+        f = NumberRangeFilter("-12.5", "43.1")
+        encoded = [t.encode() for t in tokens]
+        got = self.step(f.dfa, encoded)
+        want = [f.token_accepts(t) for t in encoded]
+        assert got.tolist() == want
+
+    def test_columns_hold_exactly_the_token_bytes(self):
+        tokens = [b"7", b"123456", b"1.5", b"-2e10"]
+        columns, order = columns_of(tokens)
+        assert [c.shape[0] for c in columns] == [4, 3, 3, 2, 2, 1]
+        assert sum(c.nbytes for c in columns) == 15
+        assert [tokens[i] for i in order] == [
+            b"123456", b"-2e10", b"1.5", b"7"
+        ]
 
 
 class TestDFACaching:

@@ -1,6 +1,9 @@
 """Unit tests for behavioural structural awareness (scalar + vectorised)."""
 
+import random
+
 import numpy as np
+import pytest
 
 from repro.core.structural import (
     ScopeMachine,
@@ -10,7 +13,9 @@ from repro.core.structural import (
     group_matches_record,
     scope_close_positions,
     string_mask,
+    structural_index,
 )
+from repro.data import Dataset
 
 
 def arr(data):
@@ -46,6 +51,65 @@ class TestStringMask:
             masked, _, _, _ = machine.step(byte)
             scalar.append(masked)
         assert string_mask(arr(data)).tolist() == scalar
+
+
+def per_record_index(records):
+    """The structural index the per-record oracle gives: each record
+    through :func:`string_mask` on its own, offset into the stream."""
+    closes, commas, close_records = [], [], []
+    offset = 0
+    for index, record in enumerate(records):
+        data = arr(record + b"\n")
+        masked = string_mask(data)
+        found = (scope_close_positions(data, masked) + offset).tolist()
+        closes += found
+        close_records += [index] * len(found)
+        commas += (comma_positions(data, masked) + offset).tolist()
+        offset += data.shape[0]
+    return closes, commas, close_records
+
+
+def stream_index(records):
+    dataset = Dataset("index", records)
+    closes, commas, close_records = structural_index(
+        dataset.stream, dataset.starts
+    )
+    return closes.tolist(), commas.tolist(), close_records.tolist()
+
+
+class TestStructuralIndex:
+    def test_unbalanced_quote_stays_in_its_record(self):
+        records = [b'{"x": "oops}', b'{"t": 1}', b'{"t": [2, 3]}']
+        closes, commas, close_records = stream_index(records)
+        assert close_records == [1, 2, 2]
+        assert (closes, commas, close_records) == per_record_index(
+            records
+        )
+
+    @pytest.mark.parametrize("record", [
+        br'{"a":"x\"}"}',  # escaped quote: the } inside is masked
+        br'{"a":"x\\"}',  # even run: the quote closes the string
+        br'{"a":"\\\"]"}',  # odd run of three
+        br'\"}',  # escape outside any string
+        b'"',  # lone quote, then the next record
+    ])
+    def test_escape_runs_match_the_oracle(self, record):
+        records = [record, b'{"t": [1, 2]}']
+        assert stream_index(records) == per_record_index(records)
+
+    def test_no_structural_bytes(self):
+        assert stream_index([b"abc", b""]) == ([], [], [])
+        assert stream_index([]) == ([], [], [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fuzz_against_per_record_oracle(self, seed):
+        rng = random.Random(seed)
+        records = [
+            bytes(rng.choice(b'"\\},]a{[')
+                  for _ in range(rng.randrange(0, 40)))
+            for _ in range(800)
+        ]
+        assert stream_index(records) == per_record_index(records)
 
 
 class TestDepth:
