@@ -22,14 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..regex.charclass import NUMBER_TOKEN_CHARS
+from ..regex.charclass import DIGITS, NUMBER_TOKEN_CHARS
 from ..regex.dfa import DFA
 from ..regex.range_regex import number_range_regex
 
-#: lookup table: byte value -> is it a numeric-token character
-TOKEN_CHAR_TABLE = np.zeros(256, dtype=bool)
-for _code in NUMBER_TOKEN_CHARS:
-    TOKEN_CHAR_TABLE[_code] = True
+#: the numeric-token bytes that are not digits (``+ - . e E``)
+_NON_DIGIT_TOKEN_CHARS = sorted(NUMBER_TOKEN_CHARS - DIGITS)
 #: lookup table: byte value -> is it a decimal digit
 DIGIT_TABLE = np.zeros(256, dtype=bool)
 DIGIT_TABLE[ord("0"):ord("9") + 1] = True
@@ -113,9 +111,14 @@ def token_spans(arr):
 
 def token_edges(arr):
     """``(starts, ends)`` of the maximal numeric-token runs in ``arr``."""
-    is_token = TOKEN_CHAR_TABLE[arr]
-    padded = np.zeros(is_token.shape[0] + 2, dtype=bool)
-    padded[1:-1] = is_token
+    padded = np.zeros(arr.shape[0] + 2, dtype=bool)
+    is_token = padded[1:-1]
+    # uint8 wrap-around: bytes below "0" land above 208
+    np.less(arr - ord("0"), 10, out=is_token)
+    scratch = np.empty_like(is_token)
+    for code in _NON_DIGIT_TOKEN_CHARS:
+        np.equal(arr, code, out=scratch)
+        is_token |= scratch
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[0::2], edges[1::2]
 
@@ -128,10 +131,17 @@ def token_columns(arr, starts, lengths):
     than ``c``, in that order — so each column is a prefix of the one
     before it and the columns together hold exactly the token bytes.
     """
-    order = np.argsort(-lengths, kind="stable")
+    max_len = int(lengths.max()) if lengths.size else 0
+    # ascending (max_len - length) is longest first; numpy's stable
+    # sort of 8- and 16-bit keys is a radix sort
+    key = max_len - lengths
+    if max_len < 1 << 8:
+        key = key.astype(np.uint8)
+    elif max_len < 1 << 16:
+        key = key.astype(np.uint16)
+    order = np.argsort(key, kind="stable")
     sorted_starts = starts[order]
     descending = lengths[order]
-    max_len = int(descending[0]) if descending.size else 0
     # counts[c]: tokens longer than c (a prefix of the sorted order)
     counts = np.searchsorted(
         -descending, -np.arange(max_len), side="left"

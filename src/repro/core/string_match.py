@@ -7,8 +7,16 @@ evaluate datasets at Python speed.
 
 All functions operate on a numpy ``uint8`` array which may contain many
 newline-separated records; because no needle ever contains a newline, the
-separator naturally breaks windows and runs, so per-record reductions can
-be done afterwards with ``np.logical_or.reduceat``.
+separator naturally breaks windows and runs, so a fire belongs to the
+record whose span holds its position.
+
+Only bool arrays are built per byte.  An approximate matcher (``B <
+len``) fires where the last ``len - B + 1`` window hits are all True
+(:func:`windowed_and`, O(log len) shifted ANDs); an exact one (``B = N``
+and the DFA's first occurrence) verifies the candidates of the needle's
+first byte (:func:`exact_ends`).  :func:`record_match_array` maps fire or
+match-end positions to records with one ``searchsorted`` over the record
+starts.
 """
 
 from __future__ import annotations
@@ -87,31 +95,68 @@ def window_hit_array(arr, needle, block):
     """
     data = as_needle_bytes(needle)
     block = int(block)
-    grams = _unique_substrings_cached(data, block)
     n = arr.shape[0]
+    if block == 1:
+        return _byte_hits(arr, data)
     hit = np.zeros(n, dtype=bool)
-    shifted = []
-    for age in range(block):
-        if age == 0:
-            shifted.append(arr)
-        else:
-            lagged = np.zeros(n, dtype=arr.dtype)
-            lagged[age:] = arr[:-age]
-            shifted.append(lagged)
-    for gram in grams:
-        gram_hit = np.ones(n, dtype=bool)
-        for age, expected in enumerate(reversed(gram)):
-            gram_hit &= shifted[age] == expected
-        hit |= gram_hit
+    if n < block:
+        return hit
+    # gram windows as views of ``arr``: window ``j`` ends at ``j+block-1``
+    width = n - block + 1
+    gram_hit = np.empty(width, dtype=bool)
+    scratch = np.empty(width, dtype=bool)
+    for gram in _unique_substrings_cached(data, block):
+        np.equal(arr[:width], gram[0], out=gram_hit)
+        for offset in range(1, block):
+            np.equal(arr[offset : offset + width], gram[offset], out=scratch)
+            gram_hit &= scratch
+        hit[block - 1 :] |= gram_hit
     return hit
 
 
-def run_lengths(hits):
-    """Length of the True-run ending at each position (0 where False)."""
-    n = hits.shape[0]
-    index = np.arange(n, dtype=np.int64)
-    last_false = np.maximum.accumulate(np.where(~hits, index, -1))
-    return np.where(hits, index - last_false, 0)
+def _byte_hits(arr, data):
+    """Block-1 hits: one comparison per distinct needle byte, OR'ed."""
+    distinct = sorted(set(data))
+    hit = np.equal(arr, distinct[0])
+    scratch = np.empty_like(hit)
+    for byte in distinct[1:]:
+        np.equal(arr, byte, out=scratch)
+        hit |= scratch
+    return hit
+
+
+def windowed_and(hits, width):
+    """``fire[p] = all(hits[p-width+1 .. p])``, in place on ``hits``.
+
+    The run-counter semantics of an approximate matcher: the counter
+    reaches ``width`` exactly when the last ``width`` windows all hit.
+    Positions ``p < width-1`` are False, as the zero-initialised counter
+    has not had ``width`` cycles yet.  Doubling the covered span costs
+    O(log width) shifted ANDs over bools.
+    """
+    covered = 1
+    while covered < width:
+        shift = min(covered, width - covered)
+        hits[shift:] &= hits[:-shift]
+        hits[:shift] = False
+        covered += shift
+    return hits
+
+
+def exact_ends(arr, needle):
+    """Sorted end positions of every occurrence of ``needle`` in ``arr``.
+
+    Candidates are the positions of the needle's first byte; each later
+    byte is checked by gathering it at the surviving candidates only.
+    """
+    data = as_needle_bytes(needle)
+    width = arr.shape[0] - len(data) + 1
+    if width <= 0:
+        return np.zeros(0, dtype=np.int64)
+    candidates = np.flatnonzero(arr[:width] == data[0])
+    for offset in range(1, len(data)):
+        candidates = candidates[arr[candidates + offset] == data[offset]]
+    return candidates + (len(data) - 1)
 
 
 def fire_array(arr, needle, block):
@@ -126,12 +171,17 @@ def fire_array(arr, needle, block):
     """
     data = as_needle_bytes(needle)
     resolved = resolve_block(data, block)
-    if resolved == DFA_TECHNIQUE:
-        exact = fire_array(arr, data, FULL)
-        return np.maximum.accumulate(exact)
+    if resolved == DFA_TECHNIQUE or resolved == len(data):
+        ends = exact_ends(arr, data)
+        fires = np.zeros(arr.shape[0], dtype=bool)
+        if resolved == DFA_TECHNIQUE and ends.size:
+            # the running maximum of the exact fires
+            fires[ends[0] :] = True
+        else:
+            fires[ends] = True
+        return fires
     hits = window_hit_array(arr, data, resolved)
-    threshold = len(data) - resolved + 1
-    return run_lengths(hits) >= threshold
+    return windowed_and(hits, len(data) - resolved + 1)
 
 
 def record_match_array(arr, starts, needle, block):
@@ -145,10 +195,13 @@ def record_match_array(arr, starts, needle, block):
     resolved = resolve_block(data, block)
     if resolved == DFA_TECHNIQUE or resolved == len(data):
         # both techniques are exact: per-record result == substring find
-        fires = fire_array(arr, data, FULL)
+        positions = exact_ends(arr, data)
     else:
-        fires = fire_array(arr, data, resolved)
-    return np.logical_or.reduceat(fires, starts)
+        positions = np.flatnonzero(fire_array(arr, data, resolved))
+    records = np.searchsorted(starts, positions, side="right") - 1
+    matched = np.zeros(len(starts), dtype=bool)
+    matched[records[records >= 0]] = True
+    return matched
 
 
 def record_matches(data, needle, block):

@@ -73,6 +73,14 @@ def _freeze(array):
     return array
 
 
+class _ThreadCounts(threading.local):
+    """Per-thread lookup counts; each thread starts from zero."""
+
+    def __init__(self):
+        self.hits = 0
+        self.misses = 0
+
+
 class AtomCache:
     """Keyed, size-bounded LRU cache of per-atom evaluation arrays.
 
@@ -114,6 +122,8 @@ class AtomCache:
         self._bytes = 0  # guarded-by: _lock
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
+        #: the same counts per calling thread (see :meth:`thread_counts`)
+        self._thread = _ThreadCounts()  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
         self.inserts = 0  # guarded-by: _lock
         #: when a list, :meth:`put` records every insert here (see
@@ -214,14 +224,33 @@ class AtomCache:
             if entry is None and self.store is not None:
                 entry = self._promote(fingerprint, key)
                 if entry is not None:
-                    self.hits += 1
+                    self._count(hit=True)
                     return entry
             if entry is None:
-                self.misses += 1
+                self._count(hit=False)
                 return None
             self._entries.move_to_end((fingerprint, key))
-            self.hits += 1
+            self._count(hit=True)
             return entry
+
+    def _count(self, hit):  # holds-lock: _lock
+        """Book one lookup to the totals and to the calling thread."""
+        if hit:
+            self.hits += 1
+            self._thread.hits += 1
+        else:
+            self.misses += 1
+            self._thread.misses += 1
+
+    def thread_counts(self):
+        """``(hits, misses)`` of the lookups the calling thread made.
+
+        ``hits``/``misses`` mix every thread sharing this cache; a
+        caller that wants only its own lookups (the gateway books them
+        per tenant) diffs these around its evaluation instead.
+        """
+        with self._lock:
+            return self._thread.hits, self._thread.misses
 
     def put(self, fingerprint, key, array):
         """Insert one evaluation array, evicting LRU entries past bounds."""

@@ -5,8 +5,9 @@ Evaluation is two-phase:
 * **Phase 1** (:class:`DatasetView` + :func:`evaluate_atoms`): every
   *atom* — a primitive, or a structural group — is evaluated once over
   the whole dataset into a per-record boolean array.  All heavy lifting
-  is vectorised over the concatenated record stream: window-hit runs for
-  string matchers, lock-step DFA stepping over the dataset's numeric
+  is vectorised over the concatenated record stream: windowed ANDs of
+  window hits (approximate) and candidate-verified occurrences (exact)
+  for string matchers, lock-step DFA stepping over the dataset's numeric
   token columns for number filters (each byte of each token stepped
   once), and a sparse record-local structural index (scope closes and
   commas outside strings) for the structural combiner.

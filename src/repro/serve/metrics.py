@@ -10,11 +10,11 @@ shared engine's ``stats()`` (cache hit rate, backend, workers).  The
 same snapshot is rendered by the STATS frame and by
 ``repro serve --status``.
 
-Per-tenant cache hits/misses are attributed by sampling the shared
-cache's counters around each batch evaluation; with several engine-pool
-evaluations in flight at once the attribution is approximate (totals
-stay exact), which is fine for the question it answers — "is this
-tenant being served warm?".
+Per-tenant cache hits/misses are attributed by sampling the calling
+executor thread's own lookup counts
+(:meth:`~repro.engine.atom_cache.AtomCache.thread_counts`) around each
+batch evaluation, so concurrent engine-pool evaluations of different
+tenants never book each other's lookups.
 """
 
 from __future__ import annotations

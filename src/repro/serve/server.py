@@ -137,11 +137,14 @@ class EnginePool:
 def _evaluate_batch(engine, predicate, batch):
     """Executor-side batch evaluation with cache-delta attribution."""
     cache = engine.atom_cache
-    before = (cache.hits, cache.misses) if cache is not None else None
+    # this thread's own lookups: the cache is shared by every executor
+    # thread, so its totals would book another tenant's lookups here
+    before = cache.thread_counts() if cache is not None else None
     matches = engine.match_bits(predicate, batch)
     delta = None
     if before is not None:
-        delta = (cache.hits - before[0], cache.misses - before[1])
+        hits, misses = cache.thread_counts()
+        delta = (hits - before[0], misses - before[1])
     return matches, delta
 
 

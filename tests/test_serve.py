@@ -9,6 +9,7 @@ that CI runs standalone.
 
 import asyncio
 import socket
+import sys
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.errors import ReproError
 from repro.serve import (
     AdmissionError,
     AsyncGatewayClient,
+    EnginePool,
     FrameDecoder,
     GatewayClient,
     GatewayError,
@@ -645,6 +647,65 @@ class TestStatsAndMetrics:
         assert "gateway:" in text
         assert "shared cache:" in text
         assert "render" in text
+
+    def test_concurrent_tenants_get_their_own_cache_counts(self):
+        """Two executor threads share one AtomCache: the replay thread
+        must be booked only hits, the fresh thread only misses."""
+        pool = EnginePool(size=2)
+        predicate = parse_filter_expression(HUMIDITY_EXPR)
+        replayed = load_dataset("smartcity", 300, seed=1)
+        fresh = [load_dataset("smartcity", 600, seed=s) for s in range(2, 8)]
+        serve_server._evaluate_batch(pool.engines[0], predicate, replayed)
+        cache = pool.cache
+        before = (cache.hits, cache.misses)
+        done = threading.Event()
+        started = threading.Barrier(2)
+        replay_deltas, fresh_deltas = [], []
+
+        def replay():
+            started.wait()
+            while not done.is_set() or not replay_deltas:
+                _, delta = serve_server._evaluate_batch(
+                    pool.engines[0], predicate, replayed
+                )
+                replay_deltas.append(delta)
+
+        def evaluate_fresh():
+            started.wait()
+            try:
+                for batch in fresh:
+                    _, delta = serve_server._evaluate_batch(
+                        pool.engines[1], predicate, batch
+                    )
+                    fresh_deltas.append(delta)
+            finally:
+                done.set()
+
+        threads = [
+            threading.Thread(target=replay),
+            threading.Thread(target=evaluate_fresh),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(fresh_deltas) == len(fresh)
+        # one whole-expression hit per replayed batch, nothing else
+        assert set(replay_deltas) == {(1, 0)}
+        assert all(hits == 0 and misses > 0
+                   for hits, misses in fresh_deltas)
+        # the per-thread counts add up to the shared totals
+        assert cache.hits - before[0] == len(replay_deltas)
+        assert cache.misses - before[1] == sum(
+            misses for _, misses in fresh_deltas
+        )
 
     def test_mid_stream_stats_arrive_in_order(self, gateway, payload):
         async def run():

@@ -37,12 +37,17 @@ class TestHelpers:
         with pytest.raises(ReproError):
             sm.resolve_block("dust", 5)
 
-    def test_run_lengths(self):
+    def test_windowed_and(self):
         hits = np.array([True, True, False, True, True, True])
-        assert sm.run_lengths(hits).tolist() == [1, 2, 0, 1, 2, 3]
+        # the run counter reads [1, 2, 0, 1, 2, 3]: fire once it
+        # reaches the width
+        runs = [1, 2, 0, 1, 2, 3]
+        for width in range(1, 5):
+            fires = sm.windowed_and(hits.copy(), width)
+            assert fires.tolist() == [run >= width for run in runs]
 
-    def test_run_lengths_empty(self):
-        assert sm.run_lengths(np.zeros(0, dtype=bool)).shape == (0,)
+    def test_windowed_and_empty(self):
+        assert sm.windowed_and(np.zeros(0, dtype=bool), 3).shape == (0,)
 
 
 class TestWindowHits:
@@ -163,3 +168,93 @@ class TestNoFalseNegatives:
         if block not in (sm.FULL, sm.DFA_TECHNIQUE) and block > len(needle):
             block = 1
         assert sm.record_matches(record, needle, block)
+
+
+def random_records(rng, alphabet, count, max_len):
+    """Newline-terminated records over ``alphabet``, lengths 0..max_len
+    (so many are shorter than a matcher's threshold)."""
+    symbols = np.frombuffer(alphabet, dtype=np.uint8)
+    return [
+        symbols[rng.integers(0, len(symbols), length)].tobytes()
+        for length in rng.integers(0, max_len + 1, count)
+    ]
+
+
+def all_blocks(needle):
+    return list(range(1, len(needle) + 1)) + [sm.FULL, sm.DFA_TECHNIQUE]
+
+
+class TestDifferential:
+    """The numpy matchers against the per-cycle and per-record oracles
+    on seeded random bytes from small alphabets."""
+
+    #: repeated bytes; over every block, tolls_amount's thresholds
+    #: (len - B + 1) run from 12 down to 1
+    NEEDLES = [b"aaaa", b"abab", b"tolls_amount"]
+
+    @pytest.mark.parametrize("needle", NEEDLES)
+    def test_fire_array_equals_reference_trace(self, needle):
+        rng = np.random.default_rng(len(needle))
+        for extra in (b"x", b"_ x"):
+            records = random_records(rng, needle + extra, 60, 30)
+            stream = b"".join(record + b"\n" for record in records)
+            for block in all_blocks(needle):
+                got = sm.fire_array(arr(stream), needle, block).tolist()
+                want = sm.reference_fire_trace(stream, needle, block)
+                assert got == want, (needle, block, extra)
+
+    @pytest.mark.parametrize("needle", NEEDLES)
+    def test_record_match_array_equals_record_matches(self, needle):
+        rng = np.random.default_rng(7 + len(needle))
+        records = random_records(rng, needle + b"x", 300, 40)
+        records += [needle, needle[:-1], needle[1:]]
+        stream = b"".join(record + b"\n" for record in records)
+        starts = np.cumsum([0] + [len(r) + 1 for r in records[:-1]])
+        for block in all_blocks(needle):
+            got = sm.record_match_array(arr(stream), starts, needle, block)
+            want = [sm.record_matches(r, needle, block) for r in records]
+            assert got.tolist() == want, (needle, block)
+
+    def test_no_records(self):
+        empty = np.zeros(0, dtype=np.int64)
+        got = sm.record_match_array(arr(b""), empty, "dust", 1)
+        assert got.shape == (0,)
+
+
+class TestMemoryBound:
+    """Per-byte scratch stays a small multiple of the batch bytes."""
+
+    @pytest.fixture(scope="class")
+    def big_record(self):
+        rng = np.random.default_rng(0)
+        values = ",".join(
+            f"{value:.6f}" for value in rng.normal(20, 50, 560_000)
+        )
+        record = (
+            '{"temperature":1,"humidity":2,"tolls_amount":[' + values
+            + "]}\n"
+        ).encode()
+        return arr(record)
+
+    @pytest.mark.parametrize(
+        "needle,block",
+        [("temperature", 1), ("humidity", 2), ("tolls_amount", sm.FULL)],
+    )
+    def test_peak_at_most_6x_batch_bytes(self, big_record, needle, block):
+        import tracemalloc
+
+        starts = np.array([0])
+        calls = [
+            lambda: sm.fire_array(big_record, needle, block),
+            lambda: sm.record_match_array(
+                big_record, starts, needle, block
+            ),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * big_record.nbytes, peak / big_record.nbytes
