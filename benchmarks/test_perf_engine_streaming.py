@@ -1,9 +1,10 @@
 """Engine streaming throughput: chunked execution vs whole-corpus.
 
-The unified FilterEngine must not give back the harness's vectorised
+The unified FilterEngine must not give back the compiled backend's
 throughput when a corpus arrives as byte chunks: framing + per-chunk
 evaluation should stay within a small factor of the one-shot dataset
-path, and far above the scalar reference loop.
+path, and far above the scalar reference loop, whose streamed count
+is the independent check on the compiled one.
 """
 
 import io
@@ -45,7 +46,7 @@ def test_engine_streaming_report():
 
     rows = []
     one_shot = engine.match_bits(expr, corpus)
-    for label, backend in (("vectorized", "vectorized"),
+    for label, backend in (("compiled", "compiled"),
                            ("scalar", "scalar")):
         start = time.perf_counter()
         last = _stream_once(engine, expr, payload, backend)
@@ -70,7 +71,7 @@ def test_engine_streaming_report():
 
 
 def test_streaming_overhead_bounded(benchmark):
-    """Chunked vectorised streaming, benchmarked."""
+    """Chunked compiled streaming, benchmarked."""
     corpus = _corpus()
     payload = corpus.stream.tobytes()
     expr = _expr()

@@ -64,8 +64,8 @@ def _offline_bits(payload):
     from repro.cli import parse_filter_expression
 
     # the gateway runs the default compiled backend; the offline
-    # reference runs the vectorized one so the two paths are independent
-    engine = FilterEngine(backend="vectorized")
+    # reference runs the scalar oracle so the two paths are independent
+    engine = FilterEngine(backend="scalar")
     bits = []
     for batch in engine.stream(
         parse_filter_expression(EXPR), payload

@@ -6,16 +6,23 @@ through :class:`~repro.engine.sources.FileSource` reads with the LRU
 demoting cold masks to the :class:`~repro.engine.cache_store.CacheStore`
 — peak resident memory stays flat (within 15%) relative to a
 small-corpus run, while the second pass is served from **promoted**
-disk entries instead of re-evaluating.
+disk entries instead of re-evaluating.  The small-corpus rounds and the
+large corpus each run in a fresh interpreter (this file run as a
+script), so each side's peak RSS is its own, not whatever the process
+reached before.
 
 Machine-readable results land in ``results/BENCH_tiered.json``.
 """
 
+import json
 import os
+import pathlib
 import resource
+import subprocess
 import sys
 import time
 
+import repro
 import repro.core.composition as comp
 from common import write_json_result, write_result
 from repro.data import write_ndjson_corpus
@@ -75,78 +82,96 @@ def _stream_pass(engine, source):
     }
 
 
-def test_flat_rss_over_tiered_cache(tmp_path):
-    results = {"effective_cores": EFFECTIVE_CORES,
-               "cache_cap_bytes": CACHE_CAP_BYTES}
-
-    # -- baseline: the same total bytes as the large run, but split
-    # into independent small corpora streamed one after another, same
-    # capped+tiered configuration.  This equalises the *work* (cold
-    # chunk evaluations, allocator high-water ratchet) between the two
-    # runs, so the only variable left is what this test is about: the
-    # size of a single contiguous corpus.
-    small_engine = FilterEngine(
+def _small_side(directory):
+    """The baseline: the same total bytes as the large run, split into
+    independent small corpora streamed one after another through the
+    same capped+tiered configuration.  This equalises the *work* (cold
+    chunk evaluations, allocator high-water ratchet) between the two
+    runs, so the only variable left is what this test is about: the
+    size of a single contiguous corpus."""
+    engine = FilterEngine(
         chunk_bytes=CHUNK_BYTES,
         cache=AtomCache(max_bytes=CACHE_CAP_BYTES),
-        cache_store=str(tmp_path / "small-store"),
+        cache_store=str(directory / "small-store"),
     )
-    small_rounds = LARGE_CORPUS_BYTES // SMALL_CORPUS_BYTES
-    small_info = small_pass = None
-    for round_index in range(small_rounds):
-        small_path = tmp_path / f"small-{round_index}.ndjson"
-        small_info = write_ndjson_corpus(
-            small_path, target_bytes=SMALL_CORPUS_BYTES,
+    info = last = None
+    for round_index in range(LARGE_CORPUS_BYTES // SMALL_CORPUS_BYTES):
+        path = directory / f"small-{round_index}.ndjson"
+        info = write_ndjson_corpus(
+            path, target_bytes=SMALL_CORPUS_BYTES,
             seed=11 + round_index,
         )
         # cold + warm, mirroring the large run's two passes
-        _stream_pass(
-            small_engine, FileSource(small_path, CHUNK_BYTES)
-        )
-        small_pass = _stream_pass(
-            small_engine, FileSource(small_path, CHUNK_BYTES)
-        )
-    small_peak = _peak_rss_bytes()
-    results["small"] = {**small_info, **small_pass,
-                        "peak_rss_bytes": small_peak}
+        _stream_pass(engine, FileSource(path, CHUNK_BYTES))
+        last = _stream_pass(engine, FileSource(path, CHUNK_BYTES))
+    return {**info, **last, "peak_rss_bytes": _peak_rss_bytes()}
 
-    # -- the large corpus: ~1000x the cache cap, two passes
-    large_path = tmp_path / "large.ndjson"
-    large_info = write_ndjson_corpus(
-        large_path, target_bytes=LARGE_CORPUS_BYTES, seed=23
+
+def _large_side(directory):
+    """The large corpus: ~1000x the cache cap, two passes."""
+    path = directory / "large.ndjson"
+    info = write_ndjson_corpus(
+        path, target_bytes=LARGE_CORPUS_BYTES, seed=23
     )
     engine = FilterEngine(
         chunk_bytes=CHUNK_BYTES,
         cache=AtomCache(max_bytes=CACHE_CAP_BYTES),
-        cache_store=str(tmp_path / "large-store"),
+        cache_store=str(directory / "large-store"),
     )
-    cold = _stream_pass(engine, FileSource(large_path, CHUNK_BYTES))
-    warm = _stream_pass(engine, FileSource(large_path, CHUNK_BYTES))
-    large_peak = _peak_rss_bytes()
-    cache = engine.atom_cache
-    cache_stats = cache.stats()
-    results["large"] = {
-        **large_info,
+    cold = _stream_pass(engine, FileSource(path, CHUNK_BYTES))
+    warm = _stream_pass(engine, FileSource(path, CHUNK_BYTES))
+    return {
+        **info,
         "cold": cold,
         "warm": warm,
-        "peak_rss_bytes": large_peak,
-        "cache": cache_stats,
+        "peak_rss_bytes": _peak_rss_bytes(),
+        "cache": engine.atom_cache.stats(),
     }
+
+
+SIDES = {"small": _small_side, "large": _large_side}
+
+
+def _in_fresh_process(side, directory):
+    """Run one side in a new interpreter; its result document."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(repro.__file__)),
+        env.get("PYTHONPATH"),
+    ]))
+    directory.mkdir()
+    child = subprocess.run(
+        [sys.executable, __file__, side, str(directory)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def test_flat_rss_over_tiered_cache(tmp_path):
+    results = {"effective_cores": EFFECTIVE_CORES,
+               "cache_cap_bytes": CACHE_CAP_BYTES}
+    small = results["small"] = _in_fresh_process("small", tmp_path / "s")
+    large = results["large"] = _in_fresh_process("large", tmp_path / "l")
+    small_peak = small["peak_rss_bytes"]
+    large_peak = large["peak_rss_bytes"]
+    cold, warm, cache_stats = large["cold"], large["warm"], large["cache"]
 
     write_result(
         "perf_tiered_ingest",
         render_table(
             ["Corpus", "Bytes", "MB/s", "Peak RSS (MB)"],
             [
-                ["small (baseline)", str(small_info["bytes"]),
-                 f"{small_pass['bytes_per_second'] / 1e6:.1f}",
+                ["small (baseline)", str(small["bytes"]),
+                 f"{small['bytes_per_second'] / 1e6:.1f}",
                  f"{small_peak / 1e6:.1f}"],
-                [f"large cold ({large_info['bytes'] // CACHE_CAP_BYTES}"
+                [f"large cold ({large['bytes'] // CACHE_CAP_BYTES}"
                  "x cache cap)",
-                 str(large_info["bytes"]),
+                 str(large["bytes"]),
                  f"{cold['bytes_per_second'] / 1e6:.1f}",
                  f"{large_peak / 1e6:.1f}"],
                 ["large warm (promoted from disk)",
-                 str(large_info["bytes"]),
+                 str(large["bytes"]),
                  f"{warm['bytes_per_second'] / 1e6:.1f}",
                  f"{large_peak / 1e6:.1f}"],
             ],
@@ -159,8 +184,8 @@ def test_flat_rss_over_tiered_cache(tmp_path):
     write_json_result("tiered", results)
 
     # record-count sanity: every generated record was framed
-    assert cold["records"] == large_info["records"]
-    assert warm["records"] == large_info["records"]
+    assert cold["records"] == large["records"]
+    assert warm["records"] == large["records"]
 
     # the tier actually cycled: evictions demoted, the warm pass was
     # served by batched promotion from disk
@@ -170,16 +195,22 @@ def test_flat_rss_over_tiered_cache(tmp_path):
     assert cache_stats["store"]["entries"] > 0
 
     # flat RSS: 4x more corpus through the same capped cache must not
-    # grow the resident footprint (ru_maxrss is monotonic, so running
-    # the small pass first makes this a true upper-bound check)
+    # grow the resident footprint (each side measured from a fresh
+    # interpreter's high-water mark)
     assert large_peak <= small_peak * 1.15, (
         f"peak RSS grew with corpus size: {small_peak / 1e6:.1f} MB "
         f"(small) -> {large_peak / 1e6:.1f} MB (large)"
     )
 
     # a warm pass served from the disk tier beats the cold pass: the
-    # promoted masks replace the vectorised sweeps
+    # promoted masks replace the kernel sweeps
     assert warm["seconds"] < cold["seconds"], (
         f"warm pass ({warm['seconds']:.3f}s) not faster than cold "
         f"({cold['seconds']:.3f}s)"
     )
+
+
+if __name__ == "__main__":
+    print(json.dumps(
+        SIDES[sys.argv[1]](pathlib.Path(sys.argv[2])), default=str
+    ))

@@ -2,8 +2,8 @@
 
 Demonstrates the unified execution layer:
 
-* one engine, pluggable backends (``vectorized`` vs the ``scalar``
-  reference oracle);
+* one engine, two backends (the default ``compiled`` vs the
+  ``scalar`` reference oracle);
 * chunked streaming in bounded memory — the corpus is consumed as
   64 KiB chunks, records are reframed across chunk seams;
 * pluggable ingest: the same stream arriving over a local socket
@@ -39,7 +39,7 @@ def main():
     print(f"corpus: {len(corpus)} records, {len(payload)} bytes "
           f"(chunk size {CHUNK_BYTES})")
 
-    engine = FilterEngine(chunk_bytes=CHUNK_BYTES)
+    engine = FilterEngine(backend="compiled", chunk_bytes=CHUNK_BYTES)
 
     batches = 0
     accepted = total = 0
@@ -47,7 +47,7 @@ def main():
         batches += 1
         accepted = batch.accepted_seen
         total = batch.records_seen
-    print(f"vectorized streaming: {accepted}/{total} accepted "
+    print(f"compiled streaming: {accepted}/{total} accepted "
           f"across {batches} batches")
 
     scalar_bits = engine.match_bits(expr, corpus, backend="scalar")

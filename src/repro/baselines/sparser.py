@@ -22,8 +22,8 @@ selectivity alone.  The comparison benchmark shows exactly that gap.
 
 Probes and cascades plug into the unified execution layer
 (:mod:`repro.engine`): substring probes lower to raw-filter expressions
-via ``as_raw_filter`` so the engine's vectorised backend evaluates them
-through the same audited harness path as the paper's filters, and every
+via ``as_raw_filter`` so the engine's compiled backend evaluates them
+through the same verified kernels as the paper's filters, and every
 ``match_array`` here delegates to the engine rather than running a
 private loop.
 """
@@ -41,9 +41,9 @@ def _engine_match_array(predicate, dataset):
     """Evaluate a probe through the shared engine.
 
     Lowering to a raw-filter expression first (when the probe supports
-    it) hands the engine a plain expression, which its vectorised
-    backend evaluates through the harness; probes without an expression
-    form run on the engine's scalar reference path.
+    it) hands the engine a plain expression, which its compiled backend
+    runs as a one-step kernel plan; probes without an expression form
+    run on the engine's scalar reference path.
     """
     from ..engine import (
         default_engine,

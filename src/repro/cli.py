@@ -850,7 +850,7 @@ def build_arg_parser():
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--inflate-bytes", type=int, default=0,
                        help="repeat records up to this stream size")
-    bench.add_argument("--backends", default="compiled,vectorized,scalar",
+    bench.add_argument("--backends", default="compiled,scalar",
                        help="comma-separated backend names to compare")
     bench.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=True,
@@ -890,7 +890,7 @@ def build_arg_parser():
     )
     serve.add_argument(
         "--backend", default="compiled",
-        choices=["compiled", "vectorized", "scalar"],
+        choices=["compiled", "scalar"],
     )
     serve.add_argument(
         "--workers", type=int, default=1,
@@ -1005,7 +1005,7 @@ def _add_engine_arguments(parser, with_backend=True):
     if with_backend:
         parser.add_argument(
             "--backend", default="compiled",
-            choices=["compiled", "vectorized", "scalar"],
+            choices=["compiled", "scalar"],
             help="engine evaluation backend",
         )
     parser.add_argument(

@@ -5,16 +5,13 @@ Every consumer in the repo — the Fig. 4 SoC simulation, the CLI's
 harness — obtains per-record match bits from one
 :class:`FilterEngine`, with pluggable backends:
 
-* ``compiled`` — the default: fused-kernel evaluation
-  (:mod:`repro.engine.compiled`), one generated and verified function
-  per filter, a single selectivity-ordered pass with short-circuiting;
-* ``vectorized`` — dataset-scale numpy evaluation
-  (:mod:`repro.eval.harness`), one sweep per atom: the compiled
-  backend's fallback, the differential reference, and the backend of
-  :func:`default_engine` (Sparser probe sweeps run faster on it);
+* ``compiled`` — the production backend, everywhere including
+  :func:`default_engine`: each filter's verified kernel plan
+  (:mod:`repro.engine.compiled`) run as a single selectivity-ordered
+  pass with short-circuiting;
 * ``scalar`` — per-record behavioural evaluation
   (:func:`repro.core.composition.evaluate_record`), the reference
-  oracle the other paths are cross-checked against.
+  oracle the compiled backend is cross-checked against.
 
 The engine also executes **chunked streams** behind two pluggable
 layers that model the paper's ingest/evaluation boundary explicitly:
@@ -40,7 +37,7 @@ layers that model the paper's ingest/evaluation boundary explicitly:
 per-corpus dataset views are memoised by content fingerprint, so
 design-space queries sharing atoms, re-streamed chunks and reconfigured
 filters reuse previously computed state instead of re-running the
-vectorised sweeps.  ``EngineConfig(cache_store=DIR)`` adds a persistent
+kernel sweeps.  ``EngineConfig(cache_store=DIR)`` adds a persistent
 disk tier (:class:`~repro.engine.cache_store.CacheStore`) under that
 cache: LRU-evicted entries demote to an append-mostly on-disk log
 instead of vanishing, and misses promote them back in fingerprint
@@ -57,7 +54,6 @@ from .backends import (
     BACKENDS,
     Backend,
     ScalarBackend,
-    VectorizedBackend,
     as_dataset,
     record_matcher,
     resolve_backend,
@@ -98,7 +94,6 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "ScalarBackend",
-    "VectorizedBackend",
     "as_dataset",
     "record_matcher",
     "resolve_backend",

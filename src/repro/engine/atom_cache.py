@@ -24,7 +24,7 @@ index are by far the most expensive per-dataset state, and every atom
 evaluated against the same corpus shares them.
 
 One :class:`AtomCache` hangs off a :class:`~repro.engine.FilterEngine`
-(``FilterEngine(cache=True)``); the engine routes its vectorised
+(``FilterEngine(cache=True)``); the engine routes its compiled
 backend, its streaming path and :class:`repro.core.design_space.
 DesignSpace` phase-1 evaluation through it.
 """

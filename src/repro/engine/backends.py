@@ -1,25 +1,21 @@
-"""Pluggable evaluation backends for the :class:`FilterEngine`.
+"""Evaluation backends for the :class:`FilterEngine`.
 
 A backend turns (*predicate*, *records*) into per-record match bits.
-The default, ``compiled``, lives in :mod:`repro.engine.compiled`; this
-module holds the two it is checked against:
+There are two:
 
-* :class:`VectorizedBackend` — the dataset-scale harness
-  (:class:`repro.eval.harness.DatasetView` + ``evaluate_expression``),
-  which batches all heavy lifting into numpy sweeps over the
-  concatenated record stream; the compiled backend's fallback for
-  predicates without an expression form, and the shape design-space
-  sweeps use;
-* :class:`ScalarBackend` — the per-record behavioural evaluator
-  (:func:`repro.core.composition.evaluate_record`), the reference
-  oracle the vectorised path is audited against.
+* ``compiled`` — the production backend, in
+  :mod:`repro.engine.compiled`: each filter's verified kernel plan run
+  as one selectivity-ordered pass over the batch;
+* ``scalar`` — :class:`ScalarBackend`, the per-record behavioural
+  evaluator (:func:`repro.core.composition.evaluate_record`), the
+  reference oracle the compiled backend is audited against.
 
 Backends accept more than raw-filter expression trees.  Any *predicate*
 object is usable if it speaks one of three protocols, probed in order:
 
 1. ``as_raw_filter()`` — convert to a :class:`repro.core.RawFilter`
    expression (used by the Sparser baseline probes, so CPU-baseline
-   accuracy comparisons run through the same audited vectorised path);
+   accuracy comparisons run through the same audited kernels);
 2. ``match_array(dataset)`` — a dataset-level evaluator of its own
    (the exact parse-everything oracle);
 3. ``matches(record)`` / raw-filter ``matches_record`` — a per-record
@@ -33,7 +29,6 @@ import numpy as np
 from ..core import composition as comp
 from ..data.corpus import Dataset
 from ..errors import ReproError
-from ..eval.harness import DatasetView, evaluate_expression
 
 
 def as_dataset(records):
@@ -102,82 +97,6 @@ class ScalarBackend(Backend):
         )
 
 
-class VectorizedBackend(Backend):
-    """Dataset-scale numpy evaluation via the harness.
-
-    With an :class:`~repro.engine.atom_cache.AtomCache` attached
-    (``atom_cache``, normally wired up by the owning ``FilterEngine``),
-    per-atom masks and the per-corpus ``DatasetView`` are memoised by
-    dataset content, so repeated evaluation over the same records —
-    different queries sharing atoms, re-streamed chunks, reconfigured
-    filters — skips the vectorised sweeps entirely.  Without a cache,
-    the most recent batch's ``DatasetView`` is still memoised by batch
-    identity, so repeated queries over the same in-memory records do
-    not pay the token-column/structural-index rebuilds.
-    """
-
-    name = "vectorized"
-    #: streaming resolves the predicate to its expression once per
-    #: stream for this backend (see FilterEngine._stream_target)
-    wants_expression = True
-
-    def __init__(self, atom_cache=None, selectivity=None):
-        self.atom_cache = atom_cache
-        #: optional SelectivityTracker fed with per-atom pass rates
-        #: (attached by the owning engine; shared with the compiled
-        #: backend's ordering decision)
-        self.selectivity = selectivity
-        self._scalar = ScalarBackend()
-        self._view_memo = None
-
-    def match_bits(self, predicate, records):
-        expr = resolve_expression(predicate)
-        if expr is not None:
-            dataset = as_dataset(records)
-            if self.atom_cache is not None:
-                view = self.atom_cache.view_for(dataset)
-                cache = self.atom_cache.evaluation_cache(dataset)
-            else:
-                view = self._memoised_view(records, dataset)
-                cache = {}
-            bits = evaluate_expression(view, expr, cache)
-            self._observe(expr, cache)
-            return np.array(bits, dtype=bool)
-        match_array = getattr(predicate, "match_array", None)
-        if callable(match_array):
-            return np.asarray(match_array(as_dataset(records)), dtype=bool)
-        return self._scalar.match_bits(predicate, records)
-
-    def _memoised_view(self, records, dataset):
-        """One-slot DatasetView memo keyed by batch object identity.
-
-        Identity (not content) keeps the cache-disabled path free of
-        hashing; re-evaluating the same records list/Dataset — the
-        repeated-query and per-chunk streaming patterns — reuses the
-        token columns and structural index instead of rebuilding them.
-        """
-        memo = self._view_memo
-        if memo is not None and memo[0] is records:
-            return memo[1]
-        view = DatasetView(dataset)
-        self._view_memo = (records, view)
-        return view
-
-    def _observe(self, expr, cache):
-        """Harvest observed per-atom pass rates from the evaluation."""
-        tracker = self.selectivity
-        if tracker is None:
-            return
-        local = getattr(cache, "_local", cache)
-        for atom in expr.atoms():
-            bits = local.get(atom.cache_key())
-            if bits is not None:
-                tracker.observe(
-                    atom, int(bits.shape[0]),
-                    int(np.count_nonzero(bits)),
-                )
-
-
 def _compiled_factory():
     # imported lazily: compiled.py builds on this module
     from .compiled import CompiledBackend
@@ -186,7 +105,6 @@ def _compiled_factory():
 
 
 BACKENDS = {
-    "vectorized": VectorizedBackend,
     "scalar": ScalarBackend,
     "compiled": _compiled_factory,
 }

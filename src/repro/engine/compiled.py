@@ -1,13 +1,14 @@
 """Compiled fused-kernel backend: specialise the whole filter into one pass.
 
-The vectorised backend evaluates a filter the way the harness does:
-every atom sweeps the *entire* concatenated byte stream, and the
-expression tree combines the resulting per-record masks.  That is the
-right shape for design-space exploration (each atom evaluated once,
-~10^5 candidate conjunctions composed from the cached masks) but the
-wrong shape for the serial filtering hot path, where one fixed filter
-runs over a stream once: most records are rejected by one dominant
-atom, yet every later atom still scans their bytes.
+The harness (:func:`repro.eval.harness.evaluate_expression`) evaluates
+a filter atom by atom: every atom sweeps the *entire* concatenated byte
+stream, and the expression tree combines the resulting per-record
+masks.  That is the right shape for design-space exploration (each
+atom evaluated once, ~10^5 candidate conjunctions composed from the
+cached masks) but the wrong shape for the serial filtering hot path,
+where one fixed filter runs over a stream once: most records are
+rejected by one dominant atom, yet every later atom still scans their
+bytes.
 
 This module applies the paper's core move — *specialise the datapath to
 the filter* — in software.  A resolved
@@ -23,9 +24,9 @@ plan as a single selectivity-ordered pass over the record batch:
   conditions evaluated long before the structural machinery runs);
 * steps run in selectivity order — seeded from an analytic mirror of
   the :mod:`repro.core.cost` LUT model, refined online from observed
-  per-atom pass rates (first batch of a plan's life additionally
-  samples a head slice of records so even the first ordering decision
-  is informed);
+  per-atom pass rates (a batch that meets step atoms with no observed
+  rate first samples a byte-bounded head slice of records, so even the
+  first ordering decision is informed);
 * each step only touches the bytes of records still alive: rejected
   records are **masked out of every later atom's scan** by gathering
   the survivors into a compact sub-stream, so the expensive primitives
@@ -46,9 +47,10 @@ survivors as their own sub-stream relies on record-local matcher state
 by it, and the structural index
 (:func:`repro.core.structural.structural_index`) starts every record
 outside a string, whatever bytes the records before it hold — the
-same property the hardware gets from its ``record_reset``.  Predicates with no
-raw-filter expression form degrade to the vectorized path with a
-once-per-backend warning (see :meth:`CompiledBackend.stats`).
+same property the hardware gets from its ``record_reset``.  Predicates
+with no raw-filter expression form run their own ``match_array`` or the
+scalar loop, with a once-per-backend warning (see
+:meth:`CompiledBackend.stats`).
 
 Every plan is proven before its first batch runs: :func:`kernel_for`
 hands it to :func:`repro.analysis.kernel_verify.verify_plan`, which
@@ -73,15 +75,16 @@ from ..eval import harness
 from .atom_cache import dataset_fingerprint
 from .backends import (
     Backend,
-    VectorizedBackend,
+    ScalarBackend,
     as_dataset,
     resolve_expression,
 )
 
 #: pass-rate prior for atoms never observed (and not sampled yet)
 DEFAULT_SELECTIVITY = 0.5
-#: head-of-batch record sample used to seed a kernel's first ordering
-SAMPLE_RECORDS = 256
+#: byte budget of the head-of-batch sample that seeds the pass rates of
+#: step atoms never observed before
+SAMPLE_BYTES = 64 << 10
 #: optional prefilter steps observed to reject fewer than this fraction
 #: of records are dropped from the order — their scan costs more than
 #: the records they would mask out of later atoms
@@ -102,9 +105,8 @@ SHRINK_THRESHOLD = 0.7
 class SelectivityTracker:
     """Cumulative observed per-atom pass rates.
 
-    Fed by both the compiled kernel (per step) and the vectorised
-    backend (harvested from its per-atom masks), read by the kernel's
-    ordering decision and exposed through
+    Fed by the compiled kernel (per step, and by its head samples),
+    read by the kernel's ordering decision and exposed through
     ``engine.stats()["selectivity"]`` — the observability hook the
     ROADMAP's online-adaptive-filtering item needs.
     """
@@ -452,8 +454,6 @@ class CompiledBackend(Backend):
         self.fallbacks = 0
         self.fallback_reason: str | None = None
         self._fallback_warned = False
-        self._vectorized = VectorizedBackend()
-        self._sampled: set[str] = set()
 
     # -- tracker ------------------------------------------------------------
 
@@ -481,7 +481,7 @@ class CompiledBackend(Backend):
             state.fingerprint = dataset_fingerprint(dataset)
             # whole-expression mask first — repeated corpora (warm
             # gateway tenants, re-streamed chunks) skip the kernel
-            # entirely, exactly like the vectorised cached path
+            # entirely
             cached = self.atom_cache.lookup(
                 state.fingerprint, expr.cache_key()
             )
@@ -529,10 +529,11 @@ class CompiledBackend(Backend):
         return bits
 
     def _fallback(self, predicate: Any, records: Any) -> np.ndarray:
-        """Degrade to the vectorized path (match_array / scalar loop)."""
+        """Run the predicate's own ``match_array``, or the scalar loop."""
         reason = (
             f"predicate {predicate!r} has no raw-filter expression "
-            "form (as_raw_filter); evaluated via the vectorized path"
+            "form (as_raw_filter); evaluated via its match_array or "
+            "the scalar loop"
         )
         self.fallbacks += 1
         self.fallback_reason = reason
@@ -544,35 +545,42 @@ class CompiledBackend(Backend):
                 RuntimeWarning,
                 stacklevel=3,
             )
-        self._vectorized.atom_cache = self.atom_cache
-        self._vectorized.selectivity = self.selectivity
-        return self._vectorized.match_bits(predicate, records)
+        match_array = getattr(predicate, "match_array", None)
+        if callable(match_array):
+            return np.asarray(match_array(as_dataset(records)), dtype=bool)
+        return ScalarBackend().match_bits(predicate, records)
 
     # -- ordering -----------------------------------------------------------
 
     def _seed_selectivity(self, state: KernelState) -> None:
-        """First batch of a plan's life: sample a head slice.
+        """Sample the head of the batch for atoms never observed.
 
-        Evaluating every step atom over the first few hundred records
-        costs a fraction of one full sweep and replaces the uniform
-        pass-rate prior with measured rates, so even the first
-        full-batch ordering decision is selectivity-informed.
+        A plan with one step has nothing to order.  Otherwise the step
+        atoms with no observed pass rate are evaluated over the longest
+        head run of whole records within :data:`SAMPLE_BYTES`, which
+        replaces the uniform prior with measured rates at a cost bounded
+        by the budget, however large the batch or its records.  When the
+        first record alone exceeds the budget, the prior stands.
         """
-        key = state.plan.expr.cache_key()
-        if key in self._sampled:
+        if len(state.plan.steps) < 2:
             return
-        self._sampled.add(key)
-        count = min(SAMPLE_RECORDS, state.num_records)
-        if count <= 0:
-            return
-        view = harness.DatasetView(state.dataset.slice(0, count))
-        cache: dict[Any, Any] = {}
         tracker = self.tracker()
-        for step in state.plan.steps:
-            bits = harness.evaluate_atom(view, step.atom, cache)
-            tracker.observe(
-                step.atom, count, int(np.count_nonzero(bits))
-            )
+        atoms = [
+            step.atom for step in state.plan.steps
+            if tracker.rate(step.atom) is None
+        ]
+        if not atoms:
+            return
+        dataset = state.dataset
+        ends = np.append(dataset.starts[1:], dataset.total_bytes)
+        count = int(np.searchsorted(ends, SAMPLE_BYTES, side="right"))
+        if count == 0:
+            return
+        view = harness.DatasetView(dataset.slice(0, count))
+        cache: dict[Any, Any] = {}
+        for atom in atoms:
+            bits = harness.evaluate_atom(view, atom, cache)
+            tracker.observe(atom, count, int(np.count_nonzero(bits)))
 
     def order_for(self, plan: KernelPlan) -> list[int]:
         """Step order for one batch: rejection (or acceptance) per cost.
@@ -654,8 +662,8 @@ class CompiledBackend(Backend):
 
         Full-batch evaluations with an :class:`AtomCache` attached run
         through the shared evaluation cache, so masks and sub-results
-        (fire positions, token accepts) are stored exactly like the
-        vectorised backend stores them; sub-batch evaluations share a
+        (fire positions, token accepts) are stored for later passes and
+        design-space queries; sub-batch evaluations share a
         state-local cache (token columns, structure) between the steps
         of the same active set.
         """
@@ -670,7 +678,7 @@ class CompiledBackend(Backend):
         meaningful fraction of the records it scanned.  Below that
         threshold the rejections are folded into a pending mask and
         the shared view is kept — on weakly selective filters the
-        kernel thereby degrades gracefully to the vectorised shape
+        kernel thereby degrades gracefully to the harness's shape
         (every atom over one shared view) instead of paying gather
         overhead for nothing.
         """

@@ -171,10 +171,9 @@ class FilterEngine:
             if self.atom_cache is None:
                 self.atom_cache = as_atom_cache(True)
             self.atom_cache.attach_store(self.config.cache_store)
-        #: observed per-atom pass rates, shared across this engine's
-        #: backends: fed by vectorised and compiled evaluation alike,
-        #: consumed by the compiled kernels' selectivity ordering and
-        #: surfaced through ``stats()["selectivity"]``
+        #: observed per-atom pass rates: fed by the compiled kernels'
+        #: steps and head samples, consumed by their selectivity
+        #: ordering and surfaced through ``stats()["selectivity"]``
         self.selectivity = SelectivityTracker()
         self._backends = {}
         #: per-worker counters of the most recent parallel stream
@@ -203,8 +202,8 @@ class FilterEngine:
         """Share this engine's cache + selectivity with a backend.
 
         Duck-typed on attribute presence so any backend exposing an
-        ``atom_cache`` / ``selectivity`` slot (vectorized, compiled,
-        third-party) participates; explicit per-backend wiring wins.
+        ``atom_cache`` / ``selectivity`` slot (compiled, third-party)
+        participates; explicit per-backend wiring wins.
         """
         if (self.atom_cache is not None
                 and getattr(instance, "atom_cache", False) is None):
@@ -392,8 +391,8 @@ class FilterEngine:
     def _stream_target(self, predicate, chosen):
         """Resolve the predicate once per stream, not once per chunk.
 
-        Expression-oriented backends (vectorized, compiled — anything
-        declaring ``wants_expression``) evaluate the same predicate for
+        Expression-oriented backends (compiled — anything declaring
+        ``wants_expression``) evaluate the same predicate for
         every framed batch; lowering it to its raw-filter expression up
         front carries the compiled atom state (number-range DFAs,
         needle gram sets, fused-kernel lookups) across chunk batches
@@ -560,7 +559,7 @@ class FilterEngine:
         return f"FilterEngine({self.config!r})"
 
 
-#: process-wide default engine (vectorised, serial) for light callers
+#: process-wide default engine (compiled, serial) for light callers
 _DEFAULT_ENGINE = None
 
 
@@ -571,13 +570,11 @@ def default_engine():
     independent light callers (design-space exploration in particular)
     share previously computed atom masks process-wide.  Its backend
     only matters to Sparser's probe ``match_array`` (design-space
-    exploration calls :meth:`FilterEngine.evaluate_atoms`); a Sparser
-    sweep builds one short-lived filter per probe, which runs faster
-    vectorized than compiled and verified, so this engine is vectorized.
+    exploration calls :meth:`FilterEngine.evaluate_atoms`).
     """
     global _DEFAULT_ENGINE
     if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = FilterEngine(backend="vectorized", cache=True)
+        _DEFAULT_ENGINE = FilterEngine(backend="compiled", cache=True)
     return _DEFAULT_ENGINE
 
 

@@ -106,25 +106,30 @@ class GatewayClient:
             (self.host, self.port), timeout=self.timeout
         )
         self._stream = protocol.SocketFrameStream(self._sock)
-        self._send(protocol.encode_json_frame(
-            protocol.HELLO,
-            {
-                "tenant": self.tenant,
-                "protocol": protocol.VERSION,
-                "observer": self.observer,
-            },
-        ))
-        frame_type, payload = self._expect_frame()
-        if frame_type == protocol.ERROR:
-            protocol.raise_error_frame(payload)
-        if frame_type != protocol.HELLO_OK:
-            raise ProtocolError(
-                f"expected HELLO_OK, got "
-                f"{protocol.FRAME_NAMES[frame_type]}"
-            )
-        self.session_id = protocol.decode_json(
-            protocol.HELLO_OK, payload
-        )["session"]
+        try:
+            self._send(protocol.encode_json_frame(
+                protocol.HELLO,
+                {
+                    "tenant": self.tenant,
+                    "protocol": protocol.VERSION,
+                    "observer": self.observer,
+                },
+            ))
+            frame_type, payload = self._expect_frame()
+            if frame_type == protocol.ERROR:
+                protocol.raise_error_frame(payload)
+            if frame_type != protocol.HELLO_OK:
+                raise ProtocolError(
+                    f"expected HELLO_OK, got "
+                    f"{protocol.FRAME_NAMES[frame_type]}"
+                )
+            self.session_id = protocol.decode_json(
+                protocol.HELLO_OK, payload
+            )["session"]
+        except BaseException:
+            # a refused or broken handshake leaves no socket open
+            self.close()
+            raise
         return self
 
     def close(self):
@@ -312,25 +317,30 @@ class AsyncGatewayClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
-        await self._send(protocol.encode_json_frame(
-            protocol.HELLO,
-            {
-                "tenant": self.tenant,
-                "protocol": protocol.VERSION,
-                "observer": self.observer,
-            },
-        ))
-        frame_type, payload = await self._expect_frame()
-        if frame_type == protocol.ERROR:
-            protocol.raise_error_frame(payload)
-        if frame_type != protocol.HELLO_OK:
-            raise ProtocolError(
-                f"expected HELLO_OK, got "
-                f"{protocol.FRAME_NAMES[frame_type]}"
-            )
-        self.session_id = protocol.decode_json(
-            protocol.HELLO_OK, payload
-        )["session"]
+        try:
+            await self._send(protocol.encode_json_frame(
+                protocol.HELLO,
+                {
+                    "tenant": self.tenant,
+                    "protocol": protocol.VERSION,
+                    "observer": self.observer,
+                },
+            ))
+            frame_type, payload = await self._expect_frame()
+            if frame_type == protocol.ERROR:
+                protocol.raise_error_frame(payload)
+            if frame_type != protocol.HELLO_OK:
+                raise ProtocolError(
+                    f"expected HELLO_OK, got "
+                    f"{protocol.FRAME_NAMES[frame_type]}"
+                )
+            self.session_id = protocol.decode_json(
+                protocol.HELLO_OK, payload
+            )["session"]
+        except BaseException:
+            # a refused or broken handshake leaves no writer open
+            await self.close()
+            raise
         return self
 
     async def close(self):

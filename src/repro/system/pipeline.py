@@ -39,7 +39,7 @@ class FilterLane:
         """Consume records; returns (cycles, match_bits).
 
         ``accept_mask`` can supply precomputed match bits (typically the
-        engine's vectorised backend run once for all lanes) to avoid
+        engine's compiled backend run once for all lanes) to avoid
         re-evaluating per record; otherwise this lane's engine runs.
         """
         records = list(records)

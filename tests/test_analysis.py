@@ -220,11 +220,14 @@ class TestTokenDrop:
             clear_kernels()
 
     def test_harness_refuses_such_a_dfa(self):
-        """Paths that skip plans (the vectorized backend, design-space
-        sweeps) get the typed error too, never silently wrong bits."""
-        engine = FilterEngine(backend="vectorized")
+        """Paths that skip plans (design-space sweeps through
+        ``evaluate_atoms``) get the typed error too, never silently
+        wrong bits."""
+        engine = FilterEngine()
         with pytest.raises(KernelVerificationError):
-            engine.match_bits(predicate_accepting_e(), [b'{"t":"e"}'])
+            engine.evaluate_atoms(
+                [b'{"t":"e"}'], [predicate_accepting_e()]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,15 @@ import repro.core.composition as comp
 from repro.core.design_space import DesignSpace
 from repro.data import Dataset, load_dataset
 from repro.data.riotbench import Query, RangeCondition
-from repro.engine import AtomCache, FilterEngine, as_atom_cache
+from repro.engine import (
+    AtomCache,
+    CompiledBackend,
+    FilterEngine,
+    as_atom_cache,
+)
 from repro.engine.atom_cache import dataset_fingerprint
 from repro.errors import ReproError
+from repro.eval.harness import DatasetView, evaluate_expression
 
 ATTRIBUTES = ("temperature", "humidity", "light", "dust",
               "airquality_raw")
@@ -122,28 +128,37 @@ class TestDifferentialDesignSpace:
 
     def test_match_bits_cached_equals_uncached(self):
         """Engine-level differential: cached bits equal both the
-        uncached bits of the same backend and the scalar oracle bits,
-        for the vectorized and the compiled backend."""
+        uncached bits of the same path and the scalar oracle bits, for
+        the compiled backend and the harness's vectorised evaluation."""
         dataset = load_dataset("taxi", 150, seed=5)
         exprs = [
             comp.s("taxi", 2),
             comp.And([comp.s("taxi", 2), comp.v_int(0, 80)]),
             comp.group(comp.s("fare_amount", 1), comp.v("6.0", "201.0")),
         ]
-        for backend in ("vectorized", "compiled"):
-            cached = FilterEngine(backend=backend, cache=True)
-            plain = FilterEngine(backend=backend)
+        oracle = FilterEngine(backend="scalar")
+        paths = {
+            "compiled": (
+                FilterEngine(cache=True).match_bits,
+                FilterEngine().match_bits,
+            ),
+            "vectorized": (
+                AtomCache().match_bits,
+                lambda expr, data: evaluate_expression(
+                    DatasetView(data), expr, {}
+                ),
+            ),
+        }
+        for path, (cached, plain) in paths.items():
             for expr in exprs:
                 for _ in range(2):  # second pass is served from the cache
-                    fast = cached.match_bits(expr, dataset)
+                    fast = cached(expr, dataset)
                     assert fast.tolist() == (
-                        plain.match_bits(expr, dataset).tolist()
-                    ), backend
+                        plain(expr, dataset).tolist()
+                    ), path
                     assert fast.tolist() == (
-                        plain.match_bits(
-                            expr, dataset, backend="scalar"
-                        ).tolist()
-                    ), backend
+                        oracle.match_bits(expr, dataset).tolist()
+                    ), path
 
     def test_cached_results_are_writable_copies(self):
         dataset = load_dataset("smartcity", 60)
@@ -322,20 +337,18 @@ class TestCachePolicy:
     def test_backend_instance_override_honours_cache(self):
         """cache=True must not be silently dropped when the backend is
         supplied as an instance rather than by name."""
-        from repro.engine import VectorizedBackend
-
         dataset = load_dataset("smartcity", 50)
         expr = comp.s("temperature", 1)
-        instance = VectorizedBackend()
+        instance = CompiledBackend()
         engine = FilterEngine(backend=instance, cache=True)
         engine.match_bits(expr, dataset)
         assert engine.atom_cache.misses > 0
         hits_before = engine.atom_cache.hits
-        engine.match_bits(expr, dataset, backend=VectorizedBackend())
+        engine.match_bits(expr, dataset, backend=CompiledBackend())
         assert engine.atom_cache.hits > hits_before
         # a backend carrying its own cache keeps it
         own = AtomCache()
-        preloaded = VectorizedBackend(atom_cache=own)
+        preloaded = CompiledBackend(atom_cache=own)
         assert FilterEngine(cache=True).backend(preloaded) is preloaded
         assert preloaded.atom_cache is own
 

@@ -146,7 +146,7 @@ class TestCommands:
     def test_bench_reports_cache_stats(self, capsys):
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--repeat", "2",
         ])
         assert code == 0
@@ -159,7 +159,7 @@ class TestCommands:
     def test_bench_no_cache(self, capsys):
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized", "--no-cache",
+            "--records", "60", "--backends", "compiled", "--no-cache",
         ])
         assert code == 0
         captured = capsys.readouterr()
@@ -235,7 +235,7 @@ class TestIngestAndTransportOptions:
     def test_bench_with_workers_reports_worker_stats(self, capsys):
         code = main([
             "bench", "s:1:temperature",
-            "--records", "120", "--backends", "vectorized",
+            "--records", "120", "--backends", "compiled",
             "--workers", "2", "--chunk-bytes", "2048",
             "--mp-context", "spawn",
         ])
@@ -248,7 +248,7 @@ class TestIngestAndTransportOptions:
     def test_bench_alternative_sources(self, source, capsys):
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--source", source,
         ])
         assert code == 0
@@ -259,20 +259,20 @@ class TestIngestAndTransportOptions:
         pass 1 merges worker masks, pass 2 runs on them."""
         code = main([
             "bench", "s:1:temperature",
-            "--records", "120", "--backends", "vectorized",
+            "--records", "120", "--backends", "compiled",
             "--workers", "2", "--chunk-bytes", "2048",
             "--repeat", "2",
         ])
         assert code == 0
         err = capsys.readouterr().err
-        assert "merge-back [vectorized pass 1]" in err
+        assert "merge-back [compiled pass 1]" in err
         assert "entries merged from workers" in err
         assert "pts vs previous" in err
 
     def test_bench_serial_has_no_merge_back_lines(self, capsys):
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--repeat", "2",
         ])
         assert code == 0
@@ -287,7 +287,7 @@ class TestIngestAndTransportOptions:
         for _ in range(2):
             code = main([
                 "bench", "s:1:temperature",
-                "--records", "60", "--backends", "vectorized",
+                "--records", "60", "--backends", "compiled",
                 "--cache-store", str(store),
             ])
             assert code == 0
@@ -318,7 +318,7 @@ class TestBenchJson:
         out = tmp_path / "bench.json"
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--repeat", "2", "--json", str(out),
         ])
         assert code == 0
@@ -353,7 +353,7 @@ class TestBenchJson:
         out = tmp_path / "bench.json"
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--repeat", "2", "--json", str(out),
         ])
         assert code == 0
@@ -377,7 +377,7 @@ class TestBenchJson:
         out = tmp_path / "bench.json"
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "compiled,vectorized",
+            "--records", "60", "--backends", "compiled,scalar",
             "--repeat", "2", "--json", str(out),
         ])
         assert code == 0
@@ -389,8 +389,8 @@ class TestBenchJson:
         assert rows[("compiled", 1)]["kernels_compiled"] == 1
         assert rows[("compiled", 2)]["kernels_compiled"] == 0
         assert rows[("compiled", 2)]["kernels_reused"] == 1
-        assert rows[("vectorized", 1)] is None
-        assert rows[("vectorized", 2)] is None
+        assert rows[("scalar", 1)] is None
+        assert rows[("scalar", 2)] is None
         # the document-level block stays cumulative
         assert document["compiled"]["kernels_compiled"] == 1
         assert document["compiled"]["kernels_reused"] == 1
@@ -399,7 +399,7 @@ class TestBenchJson:
         out = tmp_path / "bench.json"
         code = main([
             "bench", "s:1:temperature",
-            "--records", "60", "--backends", "vectorized",
+            "--records", "60", "--backends", "compiled",
             "--no-cache", "--json", str(out),
         ])
         assert code == 0

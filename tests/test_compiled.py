@@ -1,7 +1,7 @@
 """Tests for the compiled fused-kernel backend.
 
 The contract under test: ``backend="compiled"`` is bit-identical to the
-scalar reference oracle (and therefore to the vectorised backend) on
+scalar reference oracle (and to the harness's full-batch evaluation) on
 every expression shape it specialises — including the short-circuit
 path, precomputed AtomCache inputs, worker transports and seam-fuzzed
 chunk streaming — and degrades loudly but correctly on predicates it
@@ -24,16 +24,21 @@ from repro.engine import (
     EngineConfig,
     FilterEngine,
     SelectivityTracker,
-    VectorizedBackend,
     clear_kernels,
     resolve_backend,
 )
 from repro.engine.compiled import (
+    SAMPLE_BYTES,
+    KernelState,
     build_plan,
     cost_seed,
     kernel_for,
 )
-from repro.eval.harness import DatasetView, evaluate_atom
+from repro.eval.harness import (
+    DatasetView,
+    evaluate_atom,
+    evaluate_expression,
+)
 
 
 def qs1_style_filter():
@@ -185,7 +190,7 @@ class TestOrdering:
 
 
 # ---------------------------------------------------------------------------
-# differential: compiled vs vectorized vs the scalar oracle
+# differential: compiled vs the harness vs the scalar oracle
 # ---------------------------------------------------------------------------
 
 NEEDLE_POOL = ["temperature", "humidity", "taxi", '"n"', "29", "e", "al"]
@@ -230,15 +235,15 @@ class TestDifferential:
     def test_compiled_equals_oracle_on_random_expressions(
         self, dataset_name, seed
     ):
-        """Randomised FilterExpr trees: compiled == vectorized ==
-        scalar, bit for bit."""
+        """Randomised FilterExpr trees: compiled == the harness's
+        full-batch evaluation == scalar, bit for bit."""
         rng = random.Random(seed)
         dataset = load_dataset(dataset_name, 150, seed=2000 + seed)
         engine = FilterEngine(backend="compiled")
         for _ in range(8):
             expr = random_expression(rng)
             fused = engine.match_bits(expr, dataset)
-            vec = engine.match_bits(expr, dataset, backend="vectorized")
+            vec = evaluate_expression(DatasetView(dataset), expr, {})
             oracle = engine.match_bits(expr, dataset, backend="scalar")
             assert fused.dtype == bool and len(fused) == len(dataset)
             assert (fused == oracle).all(), expr.notation()
@@ -359,11 +364,6 @@ class TestEngineIntegration:
         # sorted most selective first
         assert rates == sorted(rates)
 
-    def test_vectorized_runs_feed_the_same_tracker(self, corpus):
-        engine = FilterEngine(backend="vectorized")
-        engine.match_bits(qs1_style_filter(), corpus)
-        assert engine.stats()["selectivity"]
-
     def test_engine_config_accepts_compiled(self):
         """``compiled`` is the default backend."""
         engine = FilterEngine(config=EngineConfig())
@@ -401,12 +401,12 @@ class TestEngineIntegration:
 
 class TestAtomCacheComposition:
     def test_cached_masks_feed_the_fused_pass(self, corpus):
-        """Masks computed by a vectorized pass are consumed by the
-        compiled kernel as precomputed inputs (cache hits, identical
-        bits)."""
+        """Masks computed by a harness pass through the cache are
+        consumed by the compiled kernel as precomputed inputs (cache
+        hits, identical bits)."""
         engine = FilterEngine(cache=True)
         expr = qs1_style_filter()
-        vec = engine.match_bits(expr, corpus, backend="vectorized")
+        vec = engine.atom_cache.match_bits(expr, corpus)
         hits_before = engine.atom_cache.stats()["hits"]
         fused = engine.match_bits(expr, corpus, backend="compiled")
         hits_after = engine.atom_cache.stats()["hits"]
@@ -415,14 +415,14 @@ class TestAtomCacheComposition:
 
     def test_compiled_masks_warm_the_shared_cache(self, corpus):
         """Full-batch masks the kernel computes are inserted back, so a
-        later vectorized pass over the same corpus starts warm."""
+        later harness pass over the same corpus starts warm."""
         engine = FilterEngine(backend="compiled", cache=True)
         expr = qs1_style_filter()
         engine.match_bits(expr, corpus)
         inserts = engine.atom_cache.stats()["inserts"]
         assert inserts > 0
         misses_before = engine.atom_cache.stats()["misses"]
-        vec = engine.match_bits(expr, corpus, backend="vectorized")
+        vec = engine.atom_cache.match_bits(expr, corpus)
         oracle = engine.match_bits(expr, corpus, backend="scalar")
         assert (vec == oracle).all()
         # the top-level expression itself is evaluated fresh, but the
@@ -435,7 +435,7 @@ class TestAtomCacheComposition:
         cache = AtomCache()
         engine = FilterEngine(backend="compiled", cache=cache)
         assert engine.backend().atom_cache is cache
-        assert engine.backend("vectorized").atom_cache is cache
+        assert engine.backend(CompiledBackend()).atom_cache is cache
 
 
 # ---------------------------------------------------------------------------
@@ -484,58 +484,6 @@ class TestFallback:
         engine = FilterEngine(backend="compiled")
         engine.match_bits(qs1_style_filter(), corpus)
         assert engine.stats()["compiled_fallback"] is None
-
-
-# ---------------------------------------------------------------------------
-# satellite: cache-less DatasetView memoisation
-# ---------------------------------------------------------------------------
-
-class TestVectorizedViewMemo:
-    def test_same_batch_object_reuses_view(self, corpus, monkeypatch):
-        import repro.engine.backends as backends_module
-
-        built = []
-        real_view = backends_module.DatasetView
-
-        def counting_view(dataset):
-            built.append(dataset)
-            return real_view(dataset)
-
-        monkeypatch.setattr(
-            backends_module, "DatasetView", counting_view
-        )
-        backend = VectorizedBackend()
-        expr = comp.s("temperature", 1)
-        first = backend.match_bits(expr, corpus)
-        second = backend.match_bits(comp.s("humidity", 1), corpus)
-        assert len(built) == 1, (
-            "cache-less repeated queries over one batch must share "
-            "one DatasetView"
-        )
-        assert len(first) == len(second) == len(corpus)
-
-    def test_new_batch_object_rebuilds_view(self, corpus):
-        backend = VectorizedBackend()
-        records_a = list(corpus)[:10]
-        records_b = list(corpus)[10:20]
-        backend.match_bits(comp.s("e", 1), records_a)
-        memo_a = backend._view_memo
-        backend.match_bits(comp.s("e", 1), records_b)
-        memo_b = backend._view_memo
-        assert memo_a[0] is records_a
-        assert memo_b[0] is records_b
-        assert memo_a[1] is not memo_b[1]
-
-    def test_memoised_results_stay_correct(self, corpus):
-        backend = VectorizedBackend()
-        oracle_backend = resolve_backend("scalar")
-        for expr in (
-            comp.s("temperature", 1),
-            comp.group(comp.s("temperature", 1), comp.v("0", "99")),
-        ):
-            fast = backend.match_bits(expr, corpus)
-            slow = oracle_backend.match_bits(expr, corpus)
-            assert (fast == slow).all(), expr.notation()
 
 
 # ---------------------------------------------------------------------------
@@ -618,3 +566,118 @@ class TestLongTokens:
             assert bits.tolist() == [want]
             assert seconds < LONG_TOKEN_SECONDS
             assert peak < LONG_TOKEN_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the first batch's head sample is bounded by bytes
+# ---------------------------------------------------------------------------
+
+def seeded_counts(backend, expr, dataset):
+    """``{notation: records evaluated}`` after seeding one batch."""
+    plan, _ = kernel_for(expr)
+    backend._seed_selectivity(KernelState(dataset, plan))
+    return {
+        notation: row["evaluated"]
+        for notation, row in backend.tracker().snapshot().items()
+    }
+
+
+def one_huge_record(kind, size):
+    """A QS1-rejected SmartCity record padded to ``size`` bytes with
+    numbers or with short sensor-like objects."""
+    rng = random.Random(7)
+    parts, total = [], 0
+    while total < size:
+        if kind == "numeric":
+            part = repr(rng.uniform(-1e4, 1e4)).encode()
+        else:
+            name = rng.choice([b"temperature", b"humidity", b"light",
+                               b"dust", b"airquality_raw", b"tempo"])
+            part = b'{"n":"' + name + b'","u":"' + name[:3] + b'"}'
+        parts.append(part)
+        total += len(part) + 1
+    return (
+        b'{"e":[{"v":"20.5","n":"temperature"}],"a":['
+        + b",".join(parts) + b"]}"
+    )
+
+
+class TestHeadSample:
+    def test_sample_is_the_head_run_within_the_byte_budget(self):
+        dataset = load_dataset("smartcity", 1000, seed=3)
+        ends = 0
+        want = 0
+        for record in dataset.records:
+            ends += len(record) + 1
+            if ends > SAMPLE_BYTES:
+                break
+            want += 1
+        assert 0 < want < len(dataset)
+        counts = seeded_counts(
+            CompiledBackend(), qs1_style_filter(), dataset
+        )
+        steps = kernel_for(qs1_style_filter())[0].steps
+        assert len(counts) == len(steps)
+        assert set(counts.values()) == {want}
+
+    def test_small_batch_is_sampled_whole(self, corpus):
+        small = corpus.slice(0, 40)
+        assert small.total_bytes <= SAMPLE_BYTES
+        counts = seeded_counts(
+            CompiledBackend(), qs1_style_filter(), small
+        )
+        assert set(counts.values()) == {40}
+
+    def test_one_step_plan_is_not_sampled(self, corpus):
+        backend = CompiledBackend()
+        atom = comp.s("temperature", 1)
+        assert seeded_counts(backend, atom, corpus) == {}
+        backend.match_bits(atom, corpus)
+        assert backend.tracker().snapshot()[atom.notation()][
+            "evaluated"
+        ] == len(corpus)
+
+    def test_only_unobserved_atoms_are_sampled(self, corpus):
+        backend = CompiledBackend()
+        expr = qs1_style_filter()
+        known = comp.s("temperature", 1)
+        backend.tracker().observe(known, 7, 3)
+        counts = seeded_counts(backend, expr, corpus)
+        assert counts.pop(known.notation()) == 7
+        assert counts and set(counts.values()) == {len(corpus)}
+        # every step atom is observed now: the next batch samples none
+        assert seeded_counts(backend, expr, corpus) == {
+            known.notation(): 7, **counts
+        }
+
+    def test_record_over_the_budget_keeps_the_prior(self, corpus):
+        big = b'{"n":"temperature","v":"' + b"7" * SAMPLE_BYTES + b'"}'
+        dataset = Dataset("big-head", [big] + list(corpus.records))
+        backend = CompiledBackend()
+        assert seeded_counts(backend, qs1_style_filter(), dataset) == {}
+        bits = backend.match_bits(qs1_style_filter(), dataset)
+        oracle = resolve_backend("scalar").match_bits(
+            qs1_style_filter(), dataset
+        )
+        assert (bits == oracle).all()
+
+    @pytest.mark.parametrize("kind", ["numeric", "string"])
+    def test_first_batch_memory_on_one_huge_record(self, kind):
+        """A new plan's first batch over one 8 MB record used to run
+        every step over the whole record to seed its order, at up to
+        several times the traced peak of the warm batch."""
+        expr = parse_filter_expression(QS1_EXPRESSION)
+        batch = Dataset("huge", [one_huge_record(kind, 8 << 20)])
+        oracle = resolve_backend("scalar").match_bits(expr, batch)
+        engine = FilterEngine(backend="compiled")
+        peaks = []
+        for _ in range(2):  # the first batch, then a warm one
+            tracemalloc.start()
+            try:
+                bits = engine.match_bits(expr, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert bits.tolist() == oracle.tolist()
+        first, warm = peaks
+        assert first <= 1.25 * warm, (first, warm)

@@ -15,14 +15,15 @@ from repro.baselines import (
 )
 from repro.data import load_dataset
 from repro.engine import (
+    CompiledBackend,
     EngineConfig,
     FilterEngine,
     RecordFramer,
     ScalarBackend,
-    VectorizedBackend,
     resolve_backend,
 )
 from repro.errors import ReproError
+from repro.eval.harness import DatasetView, evaluate_expression
 
 
 def simple_filter():
@@ -152,16 +153,17 @@ class TestBackendAgreement:
     def test_vectorized_equals_scalar_on_random_expressions(
         self, dataset_name, seed
     ):
-        """The vectorised backend must agree bit-for-bit with the
-        scalar reference oracle on randomised corpora/expressions."""
+        """The harness's vectorised full-batch evaluation must agree
+        bit-for-bit with the scalar reference oracle on randomised
+        corpora/expressions."""
         rng = random.Random(seed)
         dataset = load_dataset(
             dataset_name, 150, seed=1000 + seed
         )
-        engine = FilterEngine(backend="vectorized")
+        engine = FilterEngine(backend="scalar")
         for _ in range(8):
             expr = random_expression(rng)
-            fast = engine.match_bits(expr, dataset)
+            fast = evaluate_expression(DatasetView(dataset), expr, {})
             slow = engine.match_bits(expr, dataset, backend="scalar")
             assert fast.dtype == bool and len(fast) == len(dataset)
             assert (fast == slow).all(), expr.notation()
@@ -187,10 +189,14 @@ class TestBackendAgreement:
                 simple_filter(), [b"{}"], backend="quantum"
             )
 
+    def test_vectorized_backend_is_gone(self):
+        with pytest.raises(ReproError, match=r"known: compiled, scalar"):
+            resolve_backend("vectorized")
+
     def test_backend_instances_usable_directly(self):
         dataset = load_dataset("smartcity", 50)
         expr = simple_filter()
-        fast = VectorizedBackend().match_bits(expr, dataset)
+        fast = CompiledBackend().match_bits(expr, dataset)
         slow = ScalarBackend().match_bits(expr, dataset)
         assert (fast == slow).all()
 
@@ -351,7 +357,7 @@ class TestCachedStreamSeams:
     def test_cached_and_uncached_streams_agree(self, corpus):
         payload = ndjson_bytes(corpus)
         expr = simple_filter()
-        for backend in ("vectorized", "compiled"):
+        for backend in ("compiled", "scalar"):
             cached = FilterEngine(backend=backend, chunk_bytes=190,
                                   cache=True)
             plain = FilterEngine(backend=backend, chunk_bytes=190)
@@ -534,7 +540,7 @@ class TestBaselinePredicates:
         return load_dataset("smartcity", 200, seed=21)
 
     def test_substring_probe_vectorizes_exactly(self, corpus):
-        engine = FilterEngine(backend="vectorized")
+        engine = FilterEngine(backend="compiled")
         probe = SubstringProbe(b"temp")
         bits = engine.match_bits(probe, corpus)
         assert bits.tolist() == [
@@ -542,7 +548,7 @@ class TestBaselinePredicates:
         ]
 
     def test_cascade_backends_agree(self, corpus):
-        engine = FilterEngine(backend="vectorized")
+        engine = FilterEngine(backend="compiled")
         cascade = optimize_cascade(
             ["temperature", "relativeHumidity"], corpus, max_probes=2
         )
@@ -578,7 +584,7 @@ class TestBaselinePredicates:
 
         query = ALL_QUERIES["QS0"]
         dataset = load_dataset(query.dataset_name, 120, seed=5)
-        engine = FilterEngine(backend="vectorized")
+        engine = FilterEngine(backend="compiled")
         oracle = ExactFilter(query)
         truth = engine.match_bits(oracle, dataset)
         assert truth.tolist() == query.truth_array(dataset).tolist()

@@ -14,7 +14,8 @@ import pytest
 from repro.cli import parse_filter_expression
 from repro.core import composition as comp
 from repro.data import Dataset, Query, RangeCondition, load_dataset
-from repro.engine import FilterEngine
+from repro.engine import AtomCache, FilterEngine, RecordFramer, as_dataset
+from repro.eval.harness import DatasetView, evaluate_expression
 from repro.serve import GatewayClient, GatewayThread
 
 EXPR = "group(s:1:temperature,v:float:-12.5:43.1)"
@@ -34,13 +35,21 @@ def stream_bits(engine, expression, payload):
     return bits
 
 
+def match_bits(backend, expression, records):
+    """Bits from an engine backend, or from the harness's vectorised
+    full-batch evaluation (``"vectorized"``), the design-space path."""
+    if backend == "vectorized":
+        view = DatasetView(as_dataset(records))
+        return evaluate_expression(view, expression, {})
+    return FilterEngine(backend=backend).match_bits(expression, records)
+
+
 class TestMalformedRecordDoesNotLeak:
     @pytest.mark.parametrize(
         "backend", ["scalar", "vectorized", "compiled"]
     )
     def test_every_backend(self, backend):
-        engine = FilterEngine(backend=backend)
-        bits = engine.match_bits(parse_filter_expression(EXPR), RECORDS)
+        bits = match_bits(backend, parse_filter_expression(EXPR), RECORDS)
         assert bits.tolist() == WANT
 
     @pytest.mark.parametrize(
@@ -53,17 +62,32 @@ class TestMalformedRecordDoesNotLeak:
         behind a record's last scope close do not reach the next
         record's first close."""
         records = [b'{"a": 1} "temperature": 20.5', b'{"b": [0]}']
-        engine = FilterEngine(backend=backend)
-        bits = engine.match_bits(parse_filter_expression(EXPR), records)
+        bits = match_bits(backend, parse_filter_expression(EXPR), records)
         assert bits.tolist() == [False, False]
 
     @pytest.mark.parametrize("backend", ["vectorized", "compiled"])
     def test_stream_with_cache(self, backend):
-        engine = FilterEngine(backend=backend, cache=True)
         expr = parse_filter_expression(EXPR)
-        assert stream_bits(engine, expr, PAYLOAD) == WANT
+        if backend == "vectorized":
+            # framed batches through the harness and an AtomCache
+            framer = RecordFramer()
+            batches = [framer.push(PAYLOAD), framer.flush()]
+            cache = AtomCache()
+
+            def replay():
+                return [
+                    bit
+                    for batch in batches if batch
+                    for bit in cache.match_bits(expr, batch).tolist()
+                ]
+        else:
+            engine = FilterEngine(backend=backend, cache=True)
+
+            def replay():
+                return stream_bits(engine, expr, PAYLOAD)
+        assert replay() == WANT
         # the cached replay serves the same bits
-        assert stream_bits(engine, expr, PAYLOAD) == WANT
+        assert replay() == WANT
 
     def test_resident_pool(self):
         with FilterEngine(cache=True, num_workers=2) as engine:
@@ -119,7 +143,7 @@ def test_fuzz_against_scalar_oracle(seed):
     ])
     want = FilterEngine(backend="scalar").match_bits(expr, dataset)
     for backend in ("vectorized", "compiled"):
-        got = FilterEngine(backend=backend).match_bits(expr, dataset)
+        got = match_bits(backend, expr, dataset)
         assert got.tolist() == want.tolist(), backend
     exact = Query("t-h", "smartcity", "senml", [
         RangeCondition("temperature", "-12.5", "43.1"),

@@ -52,7 +52,7 @@ from repro.engine.transport import (
 )
 from repro.errors import ReproError, WorkerCrashError
 
-BACKENDS = ["compiled", "vectorized", "scalar"]
+BACKENDS = ["compiled", "scalar"]
 
 
 def simple_filter():
@@ -82,7 +82,7 @@ def stream_bits(engine, expr, payload, backend=None):
     return matches
 
 
-def serial_bits(expr, payload, backend="vectorized"):
+def serial_bits(expr, payload, backend="compiled"):
     engine = FilterEngine(backend=backend, cache=True)
     return stream_bits(engine, expr, payload)
 
@@ -313,7 +313,7 @@ class TestLifecycle:
 
     def test_pool_warm_up_ships_the_current_cache(self, corpus):
         cache = AtomCache()
-        FilterEngine(backend="vectorized", cache=cache).match_bits(
+        FilterEngine(backend="compiled", cache=cache).match_bits(
             simple_filter(), corpus
         )
         entries = len(cache.snapshot())
@@ -340,7 +340,7 @@ class TestLifecycle:
             pool = engine._resident_pool
             with pytest.raises(ReproError, match="already active"):
                 pool.session(
-                    pickle.dumps(simple_filter()), "vectorized"
+                    pickle.dumps(simple_filter()), "compiled"
                 )
             stream.close()
             # the abandoned session released the pool
@@ -509,7 +509,7 @@ class TestWorkerLoopInProcess:
             simple_filter(), records
         )
         replies = run_worker([
-            ("configure", pickle.dumps(simple_filter()), "vectorized"),
+            ("configure", pickle.dumps(simple_filter()), "compiled"),
             ("batch-pickled", 0, records),
             ("sync", 1),
         ])
@@ -532,13 +532,13 @@ class TestWorkerLoopInProcess:
         *not* echoed back as worker deltas (record_deltas=False)."""
         records = corpus.records[:40]
         cache = AtomCache()
-        FilterEngine(backend="vectorized", cache=cache).match_bits(
+        FilterEngine(backend="compiled", cache=cache).match_bits(
             simple_filter(), records
         )
         snapshot = cache.snapshot()
         shipped = {(entry[0], entry[1]) for entry in snapshot}
         replies = run_worker([
-            ("configure", pickle.dumps(simple_filter()), "vectorized"),
+            ("configure", pickle.dumps(simple_filter()), "compiled"),
             ("delta", snapshot),
             ("batch-pickled", 0, records),
             ("sync", 1),
@@ -561,7 +561,7 @@ class TestWorkerLoopInProcess:
         records = corpus.records[:4]
         replies = run_worker([
             ("batch-pickled", 0, records),  # no backend configured yet
-            ("configure", pickle.dumps(simple_filter()), "vectorized"),
+            ("configure", pickle.dumps(simple_filter()), "compiled"),
             ("batch-pickled", 1, records),
         ])
         assert replies[0][1:3] == (0, "error")
@@ -591,7 +591,7 @@ class TestWorkerLoopInProcess:
                 (
                     "configure",
                     pickle.dumps(simple_filter()),
-                    "vectorized",
+                    "compiled",
                 ),
                 ("batch", 0, shm.name),
             ])

@@ -18,8 +18,9 @@ import pytest
 
 from repro.cli import parse_filter_expression
 from repro.data import load_dataset
-from repro.engine import FilterEngine
+from repro.engine import FilterEngine, ingest_dataset
 from repro.errors import ReproError
+from repro.eval.harness import DatasetView, evaluate_expression
 from repro.serve import (
     AdmissionError,
     AsyncGatewayClient,
@@ -40,16 +41,13 @@ HUMIDITY_EXPR = "group(s:1:humidity,v:float:20.3:69.1)"
 
 
 def offline_bits(expression, payload):
-    """Reference match bits from a plain offline engine stream (the
-    vectorized backend, so the compiled gateway is checked against a
-    different evaluator)."""
-    engine = FilterEngine(backend="vectorized")
-    bits = []
-    for batch in engine.stream(
-        parse_filter_expression(expression), payload
-    ):
-        bits.extend(batch.matches.tolist())
-    return bits
+    """Reference match bits from the harness's full-batch evaluation of
+    the framed payload, so the compiled gateway is checked against a
+    different evaluator."""
+    view = DatasetView(ingest_dataset(payload))
+    return evaluate_expression(
+        view, parse_filter_expression(expression), {}
+    ).tolist()
 
 
 def collect(client, expression, payload, chunk_bytes=None):
@@ -261,6 +259,40 @@ class TestAdmissionControl:
             ) as client:
                 bits, _ = collect(client, EXPR, payload, 8192)
             assert bits == offline_bits(EXPR, payload)
+
+    def test_refused_admission_closes_the_socket(self, monkeypatch):
+        """A client refused at HELLO must not leak its connection."""
+        sockets, writers = [], []
+        open_socket = socket.create_connection
+        open_stream = asyncio.open_connection
+
+        def recording_socket(*args, **kwargs):
+            sockets.append(open_socket(*args, **kwargs))
+            return sockets[-1]
+
+        async def recording_stream(*args, **kwargs):
+            reader, writer = await open_stream(*args, **kwargs)
+            writers.append(writer)
+            return reader, writer
+
+        monkeypatch.setattr(socket, "create_connection", recording_socket)
+        monkeypatch.setattr(asyncio, "open_connection", recording_stream)
+
+        async def refused(port):
+            client = AsyncGatewayClient("127.0.0.1", port, tenant="c")
+            with pytest.raises(AdmissionError):
+                await client.connect()
+
+        with GatewayThread(engines=1, max_sessions=1) as gw:
+            with GatewayClient("127.0.0.1", gw.port, tenant="a"):
+                with pytest.raises(AdmissionError):
+                    GatewayClient(
+                        "127.0.0.1", gw.port, tenant="b"
+                    ).connect()
+                asyncio.run(refused(gw.port))
+        assert len(sockets) == 2
+        assert sockets[1].fileno() == -1  # closed
+        assert len(writers) == 1 and writers[0].is_closing()
 
     def test_observer_bypasses_admission_and_stays_unmetered(self,
                                                              payload):

@@ -14,12 +14,14 @@ from repro.engine import (
     FileSource,
     FilterEngine,
     IterableSource,
+    RecordFramer,
     SocketSource,
     as_chunk_source,
     ingest_dataset,
     ingest_records,
 )
 from repro.errors import ReproError
+from repro.eval.harness import DatasetView, evaluate_expression
 
 
 def simple_filter():
@@ -176,9 +178,9 @@ class TestFileSource:
 
 
 class TestSourceBackendDifferential:
-    """Every backend over file ingest, at odd chunk sizes that cut
-    records mid-body, must be bit-identical to the scalar oracle over
-    the in-memory corpus."""
+    """Every backend (and the harness's vectorised evaluation) over
+    file ingest, at odd chunk sizes that cut records mid-body, must be
+    bit-identical to the scalar oracle over the in-memory corpus."""
 
     @pytest.mark.parametrize("backend", ["scalar", "vectorized",
                                          "compiled"])
@@ -190,10 +192,22 @@ class TestSourceBackendDifferential:
         oracle = FilterEngine(backend="scalar").match_bits(
             simple_filter(), corpus
         )
-        engine = FilterEngine(backend=backend, chunk_bytes=chunk_bytes)
         matches = []
-        for batch in engine.stream(simple_filter(), str(path)):
-            matches.extend(batch.matches.tolist())
+        if backend == "vectorized":
+            framer = RecordFramer()
+            source = FileSource(str(path), chunk_bytes=chunk_bytes)
+            batches = [framer.push(chunk) for chunk in source]
+            for batch in batches + [framer.flush()]:
+                if batch:
+                    matches.extend(evaluate_expression(
+                        DatasetView(batch), simple_filter(), {}
+                    ).tolist())
+        else:
+            engine = FilterEngine(
+                backend=backend, chunk_bytes=chunk_bytes
+            )
+            for batch in engine.stream(simple_filter(), str(path)):
+                matches.extend(batch.matches.tolist())
         assert matches == oracle.tolist()
 
 

@@ -116,7 +116,7 @@ def parallel_run(payload, expr=None, path="shared-memory",
 
 def configure(expr=None):
     return ("configure", pickle.dumps(expr or simple_filter()),
-            "vectorized")
+            "compiled")
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ class TestSessionProtocol:
     def test_drain_without_submit_rejected(self):
         with ResidentWorkerPool(1) as pool:
             session = pool.session(
-                pickle.dumps(simple_filter()), "vectorized"
+                pickle.dumps(simple_filter()), "compiled"
             )
             with pytest.raises(ReproError, match="no batch in flight"):
                 session.drain()
@@ -459,7 +459,7 @@ class TestSessionProtocol:
     def test_context_manager_closes_slots(self):
         with ResidentWorkerPool(1, chunk_bytes=1024) as pool:
             with pool.session(
-                pickle.dumps(comp.s("temperature", 1)), "vectorized"
+                pickle.dumps(comp.s("temperature", 1)), "compiled"
             ) as session:
                 session.submit([b'{"n":"temperature"}'])
                 matches, count = session.drain()
