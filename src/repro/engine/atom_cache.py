@@ -10,10 +10,14 @@ and a re-run benchmark streams the same chunks again.  The
 amortise prefix-array access: compute each (dataset, atom) result once,
 then serve every later query from the cached mask.
 
-Keys pair a **dataset fingerprint** (a content hash of the concatenated
-record stream) with the atom's :meth:`~repro.core.composition.RawFilter.
-cache_key`, so caching is safe across distinct ``Dataset`` objects with
-equal content and can never alias datasets whose bytes differ.  Entries
+Keys pair a **dataset fingerprint** (the SHA-256 digest of the
+concatenated record stream, with its length) with the atom's
+:meth:`~repro.core.composition.RawFilter.cache_key`, so caching is safe
+across distinct ``Dataset`` objects with equal content and can never
+alias datasets whose bytes differ.  The digest is a full cryptographic
+one because the cache is shared: gateway tenants read masks other
+tenants wrote, so a collision would hand one tenant another corpus's
+bits — false negatives a raw filter must never produce.  Entries
 are held in a size-bounded LRU (entry- and byte-capped; the view memo is
 count-capped and reported separately in ``stats()``); cached arrays
 are frozen (non-writeable) so a hit can be handed out without copying.
@@ -46,19 +50,26 @@ _FINGERPRINT_ATTR = "_atom_cache_fingerprint"
 
 
 def dataset_fingerprint(dataset):
-    """Content hash of a dataset's concatenated record stream.
+    """``(length, SHA-256 digest)`` of a dataset's record stream.
 
     Equal record content gives equal fingerprints regardless of object
     identity; any byte difference changes the fingerprint, so stale
-    masks can never be served for a changed corpus.  The digest is
-    memoised on the dataset instance (the stream itself is immutable
-    once built).  The buffer is hashed in place, not copied first.
+    masks can never be served for a changed corpus.  The full 32-byte
+    SHA-256 digest is kept, not a truncated or non-cryptographic hash:
+    the key is shared across gateway tenants and persisted by the
+    :class:`~repro.engine.cache_store.CacheStore`, so a collision
+    would serve one corpus's masks for another.  On x86 hosts with
+    SHA instructions SHA-256 is also 1.6-2x faster per byte than
+    BLAKE2b, and on cache replay hashing is most of the work.  The
+    digest is memoised on the dataset instance (the stream itself is
+    immutable once built).  The buffer is hashed in place, not copied
+    first.
     """
     cached = getattr(dataset, _FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
     stream = np.ascontiguousarray(dataset.stream)
-    digest = hashlib.blake2b(stream, digest_size=16).digest()
+    digest = hashlib.sha256(stream).digest()
     fingerprint = (int(stream.shape[0]), digest)
     try:
         setattr(dataset, _FINGERPRINT_ATTR, fingerprint)

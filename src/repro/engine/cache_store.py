@@ -34,6 +34,12 @@ that evicted nothing still leaves the next one warm.  The log is
 pickle-based: point a store only at directories the local user
 controls.
 
+The log is **format 2**: its entries are keyed by the SHA-256
+fingerprint of :func:`~repro.engine.atom_cache.dataset_fingerprint`.
+Format 1 keyed them by a BLAKE2b digest no current process computes,
+so a format-1 log is refused on open rather than read; delete it or
+rebuild it.
+
 A truncated or corrupt log raises a typed
 :class:`~repro.errors.CachePersistenceError` on open, never a raw
 pickle/EOF exception.
@@ -53,7 +59,9 @@ from ..errors import CachePersistenceError, ReproError
 LOG_NAME = "atoms.log"
 
 #: leading magic: file format identity + version in one token
-MAGIC = b"REPRO-CACHESTORE-1\n"
+MAGIC = b"REPRO-CACHESTORE-2\n"
+#: the magic of format-1 logs, keyed by a digest no longer computed
+_FORMAT_1_MAGIC = b"REPRO-CACHESTORE-1\n"
 
 #: per-entry header: little-endian (meta_len, payload_len)
 _HEADER = struct.Struct("<QQ")
@@ -114,7 +122,13 @@ class CacheStore:
         seeked over, never loaded)."""
         size = os.path.getsize(self.path)
         with open(self.path, "rb") as handle:
-            if handle.read(len(MAGIC)) != MAGIC:
+            magic = handle.read(len(MAGIC))
+            if magic == _FORMAT_1_MAGIC:
+                self._corrupt(
+                    "the log is from an older format (format 1, keyed "
+                    "by another digest); delete it or rebuild it"
+                )
+            if magic != MAGIC:
                 self._corrupt("bad or missing magic header")
             position = len(MAGIC)
             while position < size:

@@ -49,7 +49,7 @@ by it, and the structural index
 outside a string, whatever bytes the records before it hold — the
 same property the hardware gets from its ``record_reset``.  Predicates
 with no raw-filter expression form run their own ``match_array`` or the
-scalar loop, with a once-per-backend warning (see
+scalar loop; the scalar loop warns once per backend (see
 :meth:`CompiledBackend.stats`).
 
 Every plan is proven before its first batch runs: :func:`kernel_for`
@@ -529,14 +529,23 @@ class CompiledBackend(Backend):
         return bits
 
     def _fallback(self, predicate: Any, records: Any) -> np.ndarray:
-        """Run the predicate's own ``match_array``, or the scalar loop."""
+        """Run the predicate's own ``match_array``, or the scalar loop.
+
+        Only the scalar loop warns: a ``match_array`` is the
+        predicate's own exact dataset-level evaluation, no degradation.
+        """
+        match_array = getattr(predicate, "match_array", None)
+        how = "its match_array" if callable(match_array) else (
+            "the scalar loop"
+        )
         reason = (
             f"predicate {predicate!r} has no raw-filter expression "
-            "form (as_raw_filter); evaluated via its match_array or "
-            "the scalar loop"
+            f"form (as_raw_filter); evaluated via {how}"
         )
         self.fallbacks += 1
         self.fallback_reason = reason
+        if callable(match_array):
+            return np.asarray(match_array(as_dataset(records)), dtype=bool)
         if not self._fallback_warned:
             self._fallback_warned = True
             warnings.warn(
@@ -545,9 +554,6 @@ class CompiledBackend(Backend):
                 RuntimeWarning,
                 stacklevel=3,
             )
-        match_array = getattr(predicate, "match_array", None)
-        if callable(match_array):
-            return np.asarray(match_array(as_dataset(records)), dtype=bool)
         return ScalarBackend().match_bits(predicate, records)
 
     # -- ordering -----------------------------------------------------------

@@ -216,6 +216,9 @@ def _evaluate_group(view, group, cache):
     segment_starts[opens_record] = view.starts[
         boundary_records[opens_record]
     ]
+    # segments are disjoint and sorted, so a fire lies in the segment
+    # of the first boundary at or after it iff it is at or after that
+    # segment's start: one searchsorted per child, O(fires)
     satisfied = np.ones(boundaries.shape[0], dtype=bool)
     for child in group.children:
         try:
@@ -226,9 +229,13 @@ def _evaluate_group(view, group, cache):
                 dtype=bool,
                 count=view.num_records,
             )
-        satisfied &= np.searchsorted(
-            positions, boundaries, side="right"
-        ) > np.searchsorted(positions, segment_starts)
+        segments = np.searchsorted(boundaries, positions)
+        inside = segments < boundaries.shape[0]
+        segments = segments[inside]
+        segments = segments[positions[inside] >= segment_starts[segments]]
+        hit = np.zeros(boundaries.shape[0], dtype=bool)
+        hit[segments] = True
+        satisfied &= hit
     result = np.zeros(view.num_records, dtype=bool)
     if satisfied.any():
         result[boundary_records[satisfied]] = True

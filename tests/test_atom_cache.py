@@ -231,9 +231,9 @@ class TestCachePolicy:
         assert engine.atom_cache.hits > 0
 
     def test_fingerprint_is_the_copying_digest(self):
-        """Hashing the buffer in place gives the digest the copying
-        ``tobytes()`` formula gave, so CacheStore logs keyed by it stay
-        valid: for a framed batch (a view into its chunk), a record
+        """Hashing the buffer in place gives the full SHA-256 digest of
+        the copied bytes, the key every CacheStore log of this format
+        holds: for a framed batch (a view into its chunk), a record
         slice, a kernel gather and a non-contiguous stream."""
         from repro.engine.compiled import _gather
         from repro.engine.framing import RecordFramer
@@ -252,11 +252,30 @@ class TestCachePolicy:
         assert not strided.flags.c_contiguous
         for batch in batches:
             stream = batch.stream
-            old = (
+            want = (
                 int(stream.shape[0]),
-                hashlib.blake2b(stream.tobytes(), digest_size=16).digest(),
+                hashlib.sha256(stream.tobytes()).digest(),
             )
-            assert dataset_fingerprint(batch) == old
+            assert dataset_fingerprint(batch) == want
+
+    def test_fingerprint_hashes_in_place(self):
+        """No copy of the batch: fingerprinting one 16 MB framed batch
+        peaks under 1 MB of traced allocations."""
+        import tracemalloc
+
+        from repro.engine.framing import RecordFramer
+
+        payload = load_dataset("smartcity", 200, seed=4).stream.tobytes()
+        payload *= (16 << 20) // len(payload) + 1
+        batch = RecordFramer().push(payload[:16 << 20])
+        assert batch.stream.nbytes > 15 << 20
+        tracemalloc.start()
+        try:
+            dataset_fingerprint(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_hit_miss_counters_via_engine_stats(self):
         dataset = load_dataset("smartcity", 80)

@@ -147,6 +147,18 @@ class TestCacheStoreCorruption:
         with pytest.raises(CachePersistenceError, match="magic"):
             CacheStore(directory)
 
+    def test_format_1_log_must_be_rebuilt(self, tmp_path):
+        """A log from format 1 is keyed by a digest no current process
+        computes: it is refused on open, never read."""
+        directory, log = self._seed(tmp_path)
+        data = log.read_bytes()
+        log.write_bytes(b"REPRO-CACHESTORE-1\n" + data[len(MAGIC):])
+        with pytest.raises(
+            CachePersistenceError,
+            match="older format.*delete it or rebuild it",
+        ):
+            CacheStore(directory)
+
     def test_truncated_header(self, tmp_path):
         directory, log = self._seed(tmp_path)
         data = log.read_bytes()

@@ -470,6 +470,29 @@ class TestFallback:
         assert (first == oracle).all()
         assert (second == oracle).all()
 
+    def test_match_array_predicate_does_not_warn(self, corpus):
+        """A predicate's own ``match_array`` is exact: only the scalar
+        loop is a degradation worth a warning."""
+        from repro.baselines import ExactFilter
+        from repro.data import ALL_QUERIES
+
+        query = ALL_QUERIES["QS1"]
+        engine = FilterEngine(backend="compiled")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits = engine.match_bits(ExactFilter(query), corpus)
+        assert bits.tolist() == query.truth_array(corpus).tolist()
+        assert "match_array" in engine.stats()["compiled_fallback"]
+        # the same engine still warns, once, for the scalar loop
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine.match_bits(_MatchesOnly(b"taxi"), corpus)
+            engine.match_bits(_MatchesOnly(b"taxi"), corpus)
+        assert len([
+            w for w in caught if issubclass(w.category, RuntimeWarning)
+        ]) == 1
+        assert "scalar loop" in engine.stats()["compiled_fallback"]
+
     def test_fallback_reason_reported_in_stats(self, corpus):
         engine = FilterEngine(backend="compiled")
         with warnings.catch_warnings():

@@ -5,6 +5,8 @@ kind of atom, the batched result over a dataset must equal per-record
 scalar evaluation.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ import repro.core.composition as comp
 from repro.core.number_filter import token_spans
 from repro.eval.harness import (
     DatasetView,
+    _child_fire_positions,
     evaluate_atom,
     evaluate_atoms,
     evaluate_expression,
@@ -161,3 +164,102 @@ class TestGroupBoundaries:
         atom = comp.group(comp.s("temperature", 1), comp.v("0.7", "35.1"))
         view = DatasetView(dataset)
         assert evaluate_atom(view, atom, {}).tolist() == [True]
+
+
+#: record pieces: scope closes, commas, needle bytes and digits, so
+#: fires land on boundaries, on segment starts and behind a record's
+#: last close
+PIECES = [
+    b"{", b"}", b"[", b"]", b",", b":", b'"', b" ",
+    b"x", b"y", b"xy", b"3", b"7", b"42", b"0.5",
+]
+GROUPS = [
+    comp.group(comp.s("x", 1), comp.v_int(1, 5)),
+    comp.group(comp.s("xy", 1), comp.v("3", "45")),
+    comp.group(comp.s("x", 1), comp.s("y", 1)),
+    comp.group(comp.s("xy", 2), comp.v_int(7, 42)),
+    comp.Group([comp.s("x", 1), comp.v_int(1, 5)], comma_scoped=True),
+    comp.Group([comp.s("x", 1), comp.s("y", 1)], comma_scoped=True),
+]
+
+
+def random_records(rng, count):
+    return [
+        b"".join(rng.choice(PIECES) for _ in range(rng.randint(1, 12)))
+        for _ in range(count)
+    ]
+
+
+def fire_placement(view, group, cache):
+    """Which of the interesting places the group's fires hit:
+    ``{"boundary", "segment_start", "behind_last_close"}`` subsets."""
+    closes, commas, _ = view.structure
+    boundaries = np.union1d(closes, commas) if group.comma_scoped else (
+        closes
+    )
+    records = np.searchsorted(view.starts, boundaries, side="right") - 1
+    starts = np.empty_like(boundaries)
+    starts[1:] = boundaries[:-1] + 1
+    opens = np.ones(boundaries.shape[0], dtype=bool)
+    opens[1:] = records[1:] != records[:-1]
+    starts[opens] = view.starts[records[opens]]
+    seen = set()
+    for child in group.children:
+        positions = _child_fire_positions(view, child, cache)
+        if np.isin(positions, boundaries).any():
+            seen.add("boundary")
+        if np.isin(positions, starts).any():
+            seen.add("segment_start")
+        segment = np.searchsorted(boundaries, positions)
+        fire_records = (
+            np.searchsorted(view.starts, positions, side="right") - 1
+        )
+        padded = np.append(records, -1)
+        if (padded[segment] != fire_records).any():
+            seen.add("behind_last_close")
+    return seen
+
+
+class TestGroupDifferential:
+    """Seeded differential test of the batched group evaluation
+    against the per-record ``Group.matches_record``."""
+
+    def test_batched_group_equals_matches_record(self):
+        from repro.data import Dataset
+
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(6):
+            dataset = Dataset("groups", random_records(rng, 60))
+            view = DatasetView(dataset)
+            cache = {}
+            for group in GROUPS:
+                got = evaluate_atom(view, group, cache)
+                want = [group.matches_record(r) for r in dataset]
+                assert got.tolist() == want, group.cache_key()
+                seen |= fire_placement(view, group, cache)
+        assert seen == {"boundary", "segment_start", "behind_last_close"}
+
+    def test_named_placements(self):
+        from repro.data import Dataset
+
+        records = [
+            b'{"v":3}',        # number fire exactly on the close
+            b"x{3}",           # string fire on the record's first byte
+            b"{3},x",          # string fire after the last close
+            b"{x}",            # neither child in the scope
+            b"[3,x]",          # comma-scoped: different segments
+            b"{3:x}",
+        ]
+        dataset = Dataset("placements", records)
+        view = DatasetView(dataset)
+        for group in (GROUPS[0], GROUPS[4]):
+            got = evaluate_atom(view, group, {})
+            want = [group.matches_record(r) for r in records]
+            assert got.tolist() == want
+        assert evaluate_atom(view, GROUPS[0], {}).tolist() == [
+            False, True, False, False, True, True,
+        ]
+        assert evaluate_atom(view, GROUPS[4], {}).tolist() == [
+            False, True, False, False, False, True,
+        ]
